@@ -25,6 +25,7 @@
 package drm_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,6 +34,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/geometry"
+	"repro/internal/headroom"
 	"repro/internal/interval"
 	"repro/internal/itree"
 	"repro/internal/logstore"
@@ -465,60 +467,12 @@ func BenchmarkAblationSkew(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPlanner compares fixed-strategy validation against the
-// cost-model planner on a dense instance (one 18-license group, dense log)
-// where the sum-over-subsets DP dominates the tree.
-func BenchmarkAblationPlanner(b *testing.B) {
-	cfg := workload.Default(18)
-	cfg.Groups = 1
-	cfg.RecordsPerLicense = 2000 // dense: many distinct sets
-	w, err := workload.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr := overlap.GroupsOf(w.Corpus)
-	trees, err := core.Divide(benchTree(b, w).Clone(), gr, w.Corpus.Aggregates())
-	if err != nil {
-		b.Fatal(err)
-	}
-	fixed := func(s core.Strategy) []core.GroupPlan {
-		plans := make([]core.GroupPlan, len(trees))
-		for k := range plans {
-			plans[k] = core.GroupPlan{Group: k, Strategy: s}
-		}
-		return plans
-	}
-	b.Run("tree", func(b *testing.B) {
-		plans := fixed(core.StrategyTree)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ValidateWithPlan(trees, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sos", func(b *testing.B) {
-		plans := fixed(core.StrategySOS)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ValidateWithPlan(trees, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("planned", func(b *testing.B) {
-		plans := core.Plan(trees)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ValidateWithPlan(trees, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationOnlineHeadroom compares per-issuance aggregate checking
 // with and without grouping at N=20: the global check enumerates 2^(N−k)
-// equations, the group-local one only 2^(N_k−k) — the same exponential
-// separation as the offline audit, paid on every single issuance.
+// equations, the grouped one asks the production admission cache
+// (headroom.Cache), which reads only the belongs-to set's group — the
+// same exponential separation as the offline audit, paid on every single
+// issuance.
 func BenchmarkAblationOnlineHeadroom(b *testing.B) {
 	w := benchWorkload(b, 20)
 	tree := benchTree(b, w)
@@ -534,19 +488,14 @@ func BenchmarkAblationOnlineHeadroom(b *testing.B) {
 		}
 	})
 	b.Run("grouped", func(b *testing.B) {
-		ia, err := core.NewIncrementalAuditor(w.Corpus)
+		cache, err := headroom.Build(context.Background(), overlap.GroupsOf(w.Corpus), agg, w.Store())
 		if err != nil {
 			b.Fatal(err)
-		}
-		for _, r := range w.Records {
-			if err := ia.Append(r); err != nil {
-				b.Fatal(err)
-			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ia.Headroom(base); err != nil {
+			if _, err := cache.Headroom(base); err != nil {
 				b.Fatal(err)
 			}
 		}

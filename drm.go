@@ -301,33 +301,17 @@ func NewEquationAllocator(aggregates []int64) (*baseline.EquationAllocator, erro
 
 // Operations and extensions beyond the paper.
 type (
-	// IncrementalAuditor maintains divided trees as records stream in.
-	IncrementalAuditor = core.IncrementalAuditor
 	// Explanation decomposes one validation equation into contributions
 	// and budgets.
 	Explanation = core.Explanation
 	// CapacityReport summarises per-license headrooms and group
 	// utilization.
 	CapacityReport = core.CapacityReport
-	// GroupPlan is the validation planner's per-group strategy choice.
-	GroupPlan = core.GroupPlan
 	// Catalog is a persistent multi-content corpus store.
 	Catalog = catalog.Catalog
 	// CatalogEntry is one (content, permission) corpus in a catalog.
 	CatalogEntry = catalog.Entry
 )
-
-// Validation strategies the planner chooses among.
-const (
-	StrategyTree   = core.StrategyTree
-	StrategySOS    = core.StrategySOS
-	StrategyDirect = core.StrategyDirect
-)
-
-// NewIncrementalAuditor prepares streaming divided trees for the corpus.
-func NewIncrementalAuditor(c *Corpus) (*IncrementalAuditor, error) {
-	return core.NewIncrementalAuditor(c)
-}
 
 // Explain decomposes the validation equation for a (single-group) set.
 func Explain(trees []*GroupTree, set Mask) (Explanation, error) {
@@ -342,14 +326,6 @@ func ExplainReport(trees []*GroupTree, rep Report) ([]Explanation, error) {
 // Capacity computes per-license headrooms and group utilization.
 func Capacity(trees []*GroupTree) (CapacityReport, error) {
 	return core.Capacity(trees)
-}
-
-// PlanValidation chooses an evaluation strategy per group.
-func PlanValidation(trees []*GroupTree) []GroupPlan { return core.Plan(trees) }
-
-// ValidateWithPlan evaluates each group with its planned strategy.
-func ValidateWithPlan(trees []*GroupTree, plans []GroupPlan) (Report, error) {
-	return core.ValidateWithPlan(trees, plans)
 }
 
 // OpenCatalog loads (creating if needed) a multi-content corpus directory.

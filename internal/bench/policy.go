@@ -1,13 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/baseline"
 	"repro/internal/bitset"
-	"repro/internal/core"
+	"repro/internal/headroom"
 	"repro/internal/logstore"
+	"repro/internal/overlap"
 	"repro/internal/workload"
 )
 
@@ -25,25 +27,27 @@ type PolicyRow struct {
 	Accepted map[string]int
 }
 
-// groupedAllocator adapts core.IncrementalAuditor into an online policy:
-// accept an issuance iff it fits the GROUP-LOCAL equation headroom. This is
-// the paper's geometric contribution applied online — the global headroom
-// check enumerates 2^(N−k) equations per request and is infeasible beyond
-// N ≈ 20, while the grouped check only touches the belongs-to set's group.
+// groupedAllocator adapts the production admission cache (headroom.Cache)
+// into an online policy: accept an issuance iff it fits the grouped
+// equation headroom. This is the paper's geometric contribution applied
+// online — the global headroom check enumerates 2^(N−k) equations per
+// request and is infeasible beyond N ≈ 20, while the grouped check only
+// touches the belongs-to set's group.
 type groupedAllocator struct {
-	ia *core.IncrementalAuditor
+	cache *headroom.Cache
 }
 
 // Allocate implements baseline.Allocator.
 func (g *groupedAllocator) Allocate(set bitset.Mask, count int64) error {
-	room, err := g.ia.Headroom(set)
+	room, ok, err := g.cache.Admit(context.Background(), set, count)
 	if err != nil {
 		return err
 	}
-	if count > room {
+	if !ok {
 		return fmt.Errorf("%w: count %d exceeds grouped headroom %d", baseline.ErrRejected, count, room)
 	}
-	return g.ia.Append(logstore.Record{Set: set, Count: count})
+	g.cache.Confirm()
+	return nil
 }
 
 // Name implements baseline.Allocator.
@@ -71,12 +75,12 @@ func Policies(ns []int, seed int64) ([]PolicyRow, error) {
 			return nil, err
 		}
 		agg := w.Corpus.Aggregates()
-		ia, err := core.NewIncrementalAuditor(w.Corpus)
+		cache, err := headroom.Build(context.Background(), overlap.GroupsOf(w.Corpus), agg, logstore.NewMem(0))
 		if err != nil {
 			return nil, err
 		}
 		policies := []baseline.Allocator{
-			&groupedAllocator{ia: ia},
+			&groupedAllocator{cache: cache},
 			baseline.NewRandomPick(agg, seed),
 			baseline.NewFirstFit(agg),
 			baseline.NewBestFit(agg),

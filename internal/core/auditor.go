@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
+	"errors"
 	"time"
 
 	"repro/internal/bitset"
@@ -33,6 +33,9 @@ type Auditor struct {
 
 	timings Timings
 	stats   obs.AuditStats
+	// deficits holds each group's min(0, minimum slack) from the last
+	// complete audit; nil until one has run.
+	deficits []int64
 }
 
 // Timings records per-stage wall-clock durations of the last Prepare/Audit.
@@ -127,8 +130,8 @@ func (a *Auditor) Gain() float64 { return Gain(a.grouping) }
 func (a *Auditor) Timings() Timings { return a.timings }
 
 // Stats returns the typed run record of the last Audit (zero before the
-// first Audit). A batch audit revalidates every group, so GainRealized
-// equals the grouping's theoretical G.
+// first Audit). An audit validates every group, so a complete run's
+// GainRealized equals the grouping's theoretical G.
 func (a *Auditor) Stats() obs.AuditStats { return a.stats }
 
 // Audit runs the grouped validation and returns the merged report. It is
@@ -143,43 +146,106 @@ func (a *Auditor) Audit() (Report, error) {
 // which groups were fully checked, and every reported violation is real
 // (Theorem 2 — groups are independent, so a fully scanned group's
 // verdict does not depend on the groups the deadline cut off). With no
-// deadline the report is identical to Audit's.
+// deadline the report is identical to Audit's, and a later audit with a
+// fresh context redoes every group and reproduces it.
 func (a *Auditor) AuditContext(ctx context.Context) (Report, error) {
-	s := newAuditSession(a.corpus.Len(), a.logRecords, a.grouping, a.Workers)
-	s.batch = true
-	rep, err := s.run(ctx, a.trees)
-	a.timings.Flatten = s.flatten
-	a.timings.Validation = s.validate
-	if err != nil && !incomplete(err) {
+	workers := a.Workers
+	if workers < 1 {
+		workers = 1
+	}
+	start := time.Now()
+	_, fsp := trace.Start(ctx, "core.flatten")
+	for _, gt := range a.trees {
+		if ctx.Err() != nil {
+			break // ValidateParallelContext reports the cancellation
+		}
+		gt.Flat()
+	}
+	a.timings.Flatten = time.Since(start)
+	if fsp != nil {
+		fsp.SetInt("groups", int64(len(a.trees)))
+		fsp.End()
+	}
+
+	start = time.Now()
+	vctx, vsp := trace.Start(ctx, "core.validate")
+	rep, err := ValidateParallelContext(vctx, a.trees, workers)
+	a.timings.Validation = time.Since(start)
+	if vsp != nil {
+		vsp.SetInt("groups", int64(len(a.trees)))
+		vsp.SetInt("workers", int64(workers))
+		vsp.Fail(err)
+		vsp.End()
+	}
+	incomplete := errors.Is(err, drmerr.ErrAuditIncomplete)
+	if err != nil && !incomplete {
 		return rep, err
 	}
-	a.stats = s.finish(rep, rep.Equations, shardsUsed(a.trees, s.workers),
-		rep.GroupsComplete(), 0, a.phases(), err != nil)
+	if !incomplete {
+		a.deficits = deficits(rep)
+	}
+	a.stats = a.finish(rep, shardsUsed(a.trees, workers), incomplete)
 	return rep, err
 }
 
-// MinSlack returns the smallest slack A[S] − C⟨S⟩ over the group's
-// non-empty local sets, recomputed directly from the divided tree —
-// negative iff the group holds at least one violated equation. The walk
-// is 2^{N_k} equations; it exists for audit-side cross-checks, not hot
-// paths.
-func (gt *GroupTree) MinSlack() int64 {
-	min := int64(math.MaxInt64)
-	full := bitset.FullMask(gt.Tree.N())
-	for s := bitset.Mask(1); ; s++ {
-		var av int64
-		s.ForEach(func(e int) bool {
-			av += gt.Aggregates[e]
-			return true
-		})
-		if slack := av - gt.Tree.SumSubsets(s); slack < min {
-			min = slack
-		}
-		if s == full {
-			break
+// finish assembles the typed run record of one audit and publishes the
+// audit-layer metrics. An incomplete run (cut short by its context)
+// additionally bumps the incomplete-audit counter.
+func (a *Auditor) finish(rep Report, shards int, incomplete bool) obs.AuditStats {
+	full := FullEquationCount(a.corpus.Len())
+	realized := 0.0
+	if rep.Equations > 0 {
+		realized = full / float64(rep.Equations)
+	}
+	t := a.timings
+	st := obs.AuditStats{
+		Licenses:            a.corpus.Len(),
+		LogRecords:          a.logRecords,
+		Groups:              a.grouping.NumGroups(),
+		EquationsChecked:    rep.Equations,
+		EquationsFull:       full,
+		EquationsEliminated: full - float64(rep.Equations),
+		GainTheoretical:     Gain(a.grouping),
+		GainRealized:        realized,
+		ShardsUsed:          shards,
+		Violations:          len(rep.Violations),
+		Incomplete:          incomplete,
+		Phases: obs.AuditPhases{
+			Build:    t.Construction.Nanoseconds(),
+			Overlap:  t.Grouping.Nanoseconds(),
+			Divide:   t.Division.Nanoseconds(),
+			Flatten:  t.Flatten.Nanoseconds(),
+			Validate: t.Validation.Nanoseconds(),
+		},
+	}
+	M.AuditRuns.Inc()
+	if incomplete {
+		M.AuditsIncomplete.Inc()
+	}
+	M.Gain.Set(realized)
+	M.PhaseBuild.Observe(t.Construction.Seconds())
+	M.PhaseOverlap.Observe(t.Grouping.Seconds())
+	M.PhaseDivide.Observe(t.Division.Seconds())
+	M.PhaseFlatten.Observe(t.Flatten.Seconds())
+	M.PhaseValidate.Observe(t.Validation.Seconds())
+	return st
+}
+
+// deficits returns each group's min(0, minimum slack A[S] − C⟨S⟩) from a
+// complete report. A group's minimum slack is negative exactly when it
+// holds a violated equation, and the report lists every violated
+// equation with its CV and AV, so the deficit is the smallest AV − CV
+// among the group's violations, or 0 when it has none.
+func deficits(rep Report) []int64 {
+	out := make([]int64, len(rep.PerGroup))
+	for k, res := range rep.PerGroup {
+		for _, v := range res.Violations {
+			if slack := v.AV - v.CV; slack < out[k] {
+				out[k] = slack
+			}
 		}
 	}
-	return min
+	return out
 }
 
 // ToLocal translates a global-index mask into this group's local
@@ -207,14 +273,20 @@ func (gt *GroupTree) ToLocal(global bitset.Mask) (bitset.Mask, error) {
 
 // Headroom recomputes the admissible count for belongs-to set from this
 // audit's own divided trees: the set's group contributes its local
-// superset minimum, every other group contributes min(0, MinSlack) — the
-// same decomposition the headroom cache serves from memory, derived here
-// independently so audits can cross-check cached admissions. Cost is
-// exponential in the group sizes; callers bound it (see
-// engine.AuditContext's sampling).
+// superset minimum, every other group its deficit min(0, minimum slack)
+// — the same decomposition the headroom cache serves from memory, derived
+// here independently so audits can cross-check cached admissions. The
+// deficits come from the last complete audit's violations (see
+// deficits), so Headroom fails with a KindIncomplete error until an
+// audit has run to completion. The local walk is 2^{N_k−|set|}
+// equations; callers bound it (see engine.AuditContext's sampling).
 func (a *Auditor) Headroom(set bitset.Mask) (int64, error) {
 	if set.Empty() {
 		return 0, drmerr.New(drmerr.KindInvalidInput, "core.headroom", "core: empty belongs-to set")
+	}
+	if a.deficits == nil {
+		return 0, drmerr.New(drmerr.KindIncomplete, "core.headroom",
+			"core: headroom needs a complete audit")
 	}
 	k := a.grouping.GroupOf(set.Min())
 	if k < 0 {
@@ -230,24 +302,10 @@ func (a *Auditor) Headroom(set bitset.Mask) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for j, other := range a.trees {
-		if j == k {
-			continue
-		}
-		if ms := other.MinSlack(); ms < 0 {
-			room += ms
+	for j, d := range a.deficits {
+		if j != k {
+			room += d
 		}
 	}
 	return room, nil
-}
-
-// phases converts the timing decomposition to the stats record's form.
-func (a *Auditor) phases() obs.AuditPhases {
-	return obs.AuditPhases{
-		Build:    a.timings.Construction.Nanoseconds(),
-		Overlap:  a.timings.Grouping.Nanoseconds(),
-		Divide:   a.timings.Division.Nanoseconds(),
-		Flatten:  a.timings.Flatten.Nanoseconds(),
-		Validate: a.timings.Validation.Nanoseconds(),
-	}
 }

@@ -50,14 +50,14 @@ type GroupTree struct {
 	// localToGlobal maps local index p to the global corpus index
 	// (the inverse of the paper's position_k array).
 	localToGlobal []int
-	// flat caches the flattened snapshot of Tree for the duration of one
-	// audit; it is dropped whenever Tree mutates (see invalidateFlat).
+	// flat caches the flattened snapshot of Tree, built by the first
+	// validation; a validated Tree must not be mutated.
 	flat *vtree.FlatTree
 }
 
 // Flat returns the flattened structure-of-arrays snapshot of the group
-// tree, building it on first use. The first call after a mutation is not
-// safe for concurrent use — Validate/ValidateParallel flatten every group
+// tree, building it on first use. The first call is not safe for
+// concurrent use — Validate/ValidateParallel flatten every group
 // up front, before fanning out, so workers only ever read the cache.
 func (gt *GroupTree) Flat() *vtree.FlatTree {
 	if gt.flat == nil {
@@ -65,9 +65,6 @@ func (gt *GroupTree) Flat() *vtree.FlatTree {
 	}
 	return gt.flat
 }
-
-// invalidateFlat drops the cached snapshot after Tree mutates.
-func (gt *GroupTree) invalidateFlat() { gt.flat = nil }
 
 // ToGlobal translates a local-index mask from this group's tree back into
 // global corpus indexes.
@@ -376,7 +373,7 @@ func shardBudgets(trees []*GroupTree, workers int) []int {
 
 // merge lifts per-group results to a global report. Completeness falls
 // out of the counts alone: a group is complete iff its result evaluated
-// all 2^{N_k}−1 equations (cached results from clean groups always are).
+// all 2^{N_k}−1 equations.
 func merge(trees []*GroupTree, results []vtree.Result) Report {
 	rep := Report{PerGroup: results, Completeness: make([]GroupCompleteness, len(results))}
 	for k, res := range results {

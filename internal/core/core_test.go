@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitset"
+	"repro/internal/drmerr"
 	"repro/internal/license"
 	"repro/internal/logstore"
 	"repro/internal/overlap"
@@ -125,8 +127,8 @@ func TestDivideDetectsCrossGroupRecord(t *testing.T) {
 	if err := tree.Insert(bitset.MaskOf(0, 2), 10); err != nil { // {L1,L3}
 		t.Fatal(err)
 	}
-	if _, err := Divide(tree, gr, a); err == nil {
-		t.Error("cross-group record accepted")
+	if _, err := Divide(tree, gr, a); !errors.Is(err, drmerr.ErrCrossGroup) {
+		t.Errorf("cross-group record err = %v, want ErrCrossGroup", err)
 	}
 }
 

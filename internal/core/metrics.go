@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/obs"
-	"repro/internal/overlap"
 	"repro/internal/vtree"
 )
 
@@ -14,23 +13,17 @@ import (
 var M Metrics
 
 // Metrics are the audit-layer signals: grouped-run throughput, per-phase
-// cost decomposition (the runtime form of the paper's C_T/D_T/V_T), the
-// dirty-group cache economy, and the realized gain G.
+// cost decomposition (the runtime form of the paper's C_T/D_T/V_T), and
+// the realized gain G.
 type Metrics struct {
 	// GroupedRuns / GroupedSeconds cover Validate/ValidateParallel.
 	GroupedRuns    *obs.Counter
 	GroupedSeconds *obs.Histogram
-	// AuditRuns counts Auditor/IncrementalAuditor audits.
+	// AuditRuns counts Auditor audits.
 	AuditRuns *obs.Counter
 	// AuditsIncomplete counts audits cut short by context cancellation
 	// or deadline expiry (they still count in AuditRuns).
 	AuditsIncomplete *obs.Counter
-	// GroupsRevalidated, CacheHits, CacheMisses track the dirty-group
-	// result cache: a hit is a clean group served from cache, a miss a
-	// group whose equations were re-evaluated.
-	GroupsRevalidated *obs.Counter
-	CacheHits         *obs.Counter
-	CacheMisses       *obs.Counter
 	// Gain is the realized gain G of the last audit.
 	Gain *obs.FloatGauge
 	// Phase histograms decompose audit wall time (one series per phase of
@@ -53,15 +46,9 @@ func Instrument(reg *obs.Registry) {
 		GroupedSeconds: reg.Histogram("drm_grouped_validate_seconds",
 			"Wall time of one grouped validation run.", nil),
 		AuditRuns: reg.Counter("drm_audit_runs_total",
-			"Offline audits (batch and incremental)."),
+			"Offline audits."),
 		AuditsIncomplete: reg.Counter("drm_audit_incomplete_total",
 			"Audits cut short by context cancellation or deadline expiry."),
-		GroupsRevalidated: reg.Counter("drm_audit_groups_revalidated_total",
-			"Groups whose equations were re-evaluated by audits."),
-		CacheHits: reg.Counter("drm_audit_cache_hits_total",
-			"Clean groups served from the per-group result cache."),
-		CacheMisses: reg.Counter("drm_audit_cache_misses_total",
-			"Groups revalidated because their cached result was stale or absent."),
 		Gain: reg.FloatGauge("drm_audit_gain",
 			"Realized gain G of the last audit (eq 3 denominator measured)."),
 		PhaseBuild:    phases.With("build"),
@@ -84,32 +71,4 @@ func shardsUsed(trees []*GroupTree, workers int) int {
 		total += vtree.ShardCount(gt.Tree.N(), budgets[k])
 	}
 	return total
-}
-
-// buildAuditStats assembles the typed run record shared by the batch and
-// incremental auditors. checked is the number of equations actually
-// evaluated this run (cached groups excluded); rep is the merged report.
-func buildAuditStats(licenses, logRecords int, gr overlap.Grouping, rep Report,
-	checked int64, shards, revalidated, hits int, phases obs.AuditPhases) obs.AuditStats {
-	full := FullEquationCount(licenses)
-	realized := 0.0
-	if checked > 0 {
-		realized = full / float64(checked)
-	}
-	return obs.AuditStats{
-		Licenses:            licenses,
-		LogRecords:          logRecords,
-		Groups:              gr.NumGroups(),
-		EquationsChecked:    checked,
-		EquationsFull:       full,
-		EquationsEliminated: full - float64(checked),
-		GainTheoretical:     Gain(gr),
-		GainRealized:        realized,
-		ShardsUsed:          shards,
-		GroupsRevalidated:   revalidated,
-		CacheHits:           hits,
-		CacheMisses:         revalidated,
-		Violations:          len(rep.Violations),
-		Phases:              phases,
-	}
 }

@@ -12,7 +12,7 @@
 //     sets never span overlap groups, so C⟨S⟩ splits additively across
 //     groups and the global minimum decomposes into
 //
-//	   Headroom(B) = localMin_k0(B) + Σ_{k≠k0} min(0, minSlack_k)
+//     Headroom(B) = localMin_k0(B) + Σ_{k≠k0} min(0, minSlack_k)
 //
 //     where k0 is B's group, localMin_k0(B) ranges over supersets of B
 //     inside the group, and minSlack_k is the smallest slack of any
@@ -858,4 +858,3 @@ func (c *Cache) setShapeGauges() {
 	}
 	M.TableBytes.Set(bytes)
 }
-

@@ -10,8 +10,7 @@ import (
 // counts make eq. 3 observable: EquationsChecked is Σ_k (2^{N_k}−1),
 // EquationsFull is 2^N−1 (a float because N may exceed 62), and
 // GainRealized = EquationsFull / EquationsChecked is the gain the run
-// actually achieved, which equals the theoretical G whenever every group
-// is revalidated (and exceeds it when the dirty-group cache skips work).
+// actually achieved, which equals the theoretical G on a complete run.
 //
 // drmaudit/drmbench emit this document under -stats so runs can be
 // compared across code revisions.
@@ -22,8 +21,7 @@ type AuditStats struct {
 	// Groups is the number of disconnected overlap groups.
 	Groups int `json:"groups"`
 
-	// EquationsChecked counts equations actually evaluated this run;
-	// clean groups served from the dirty-group cache contribute nothing.
+	// EquationsChecked counts equations actually evaluated this run.
 	EquationsChecked int64 `json:"equations_checked"`
 	// EquationsFull is 2^N−1, the undivided validator's workload.
 	EquationsFull float64 `json:"equations_full"`
@@ -38,14 +36,6 @@ type AuditStats struct {
 	// ShardsUsed totals the intra-group mask shards across validated
 	// groups (1 per group when serial).
 	ShardsUsed int `json:"shards_used"`
-	// GroupsRevalidated counts groups whose equations were re-evaluated;
-	// CacheHits counts clean groups served from the per-group result
-	// cache, CacheMisses the revalidated ones. Batch audits revalidate
-	// everything; only incremental audits have hits.
-	GroupsRevalidated int `json:"groups_revalidated"`
-	CacheHits         int `json:"cache_hits"`
-	CacheMisses       int `json:"cache_misses"`
-
 	// Violations counts violated equations in the merged report.
 	Violations int `json:"violations"`
 
