@@ -432,16 +432,17 @@ func detectWAL(path, backend string) (bool, error) {
 }
 
 // migrateToWAL writes the in-memory log into a fresh WAL store at dir and
-// snapshots it, so the first server open replays nothing. A non-empty
-// target is refused — migration never merges histories.
+// snapshots it, so the first server open replays nothing. A target that
+// ever took an append is refused — migration never merges histories —
+// even when its records net out to nothing.
 func migrateToWAL(dir string, log *logstore.Mem) error {
 	ws, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return err
 	}
-	if ws.Len() != 0 {
+	if seq := ws.Seq(); seq != 0 {
 		ws.Close()
-		return fmt.Errorf("refusing to migrate into non-empty WAL %s (%d records)", dir, ws.Len())
+		return fmt.Errorf("refusing to migrate into non-empty WAL %s (%d records appended)", dir, seq)
 	}
 	if err := ws.AppendBatch(log.Records()); err != nil {
 		ws.Close()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/logstore"
 	"repro/internal/wal"
 )
@@ -53,6 +54,47 @@ func TestAuditMigrateThenAuditWAL(t *testing.T) {
 	out.Reset()
 	if _, err := run([]string{"-corpus", corpus, "-log", logPath, "-migrate-wal", walDir}, &out); err == nil {
 		t.Error("migration into non-empty WAL accepted")
+	}
+}
+
+// TestAuditMigrateRefusesNettedOutWAL: a WAL whose history nets to
+// nothing — five issued, five revoked, snapshotted — still has a
+// history, and migration must not merge another one into it.
+func TestAuditMigrateRefusesNettedOutWAL(t *testing.T) {
+	dir := t.TempDir()
+	corpus, logPath := writeExample1(t, dir, 0)
+	walDir := filepath.Join(dir, "issued.wal")
+	ws, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := bitset.MaskOf(0)
+	for _, r := range []logstore.Record{
+		{Set: set, Count: 5},
+		{Kind: logstore.KindRevoke, Set: set, Count: 5},
+	} {
+		if err := ws.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ws.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	_, err = run([]string{"-corpus", corpus, "-log", logPath, "-migrate-wal", walDir}, &out)
+	if err == nil || !strings.Contains(err.Error(), "non-empty WAL") {
+		t.Fatalf("migration into a netted-out WAL: err = %v, want refusal\n%s", err, out.String())
+	}
+	ws, err = wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	if seq := ws.Seq(); seq != 2 {
+		t.Fatalf("refused migration left seq %d, want the original 2", seq)
 	}
 }
 

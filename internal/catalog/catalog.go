@@ -187,8 +187,8 @@ func (c *Catalog) wire(corpus *license.Corpus, stem string) error {
 	}
 	if c.cfg.Mode == engine.ModeOnline {
 		// Recovery warm-up: build the admission cache now, from the log the
-		// backend just recovered (snapshot + tail for a WAL), so the first
-		// issuance after reopen pays no replay.
+		// backend just recovered (a WAL replays its compacted ledger), so
+		// the first issuance after reopen pays no replay.
 		if err := dist.WarmHeadroom(context.Background()); err != nil {
 			log.Close()
 			return fmt.Errorf("catalog: warming headroom for (%s, %s): %w", first.Content, first.Permission, err)

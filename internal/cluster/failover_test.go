@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -130,6 +132,31 @@ func records(t *testing.T, s logstore.Store) []logstore.Record {
 	return out
 }
 
+// checkSegmentPrefixes fails the test unless every segment file in the
+// follower's directory is a byte prefix of the leader's segment of the
+// same name: the mirror holds the leader's frames and nothing else.
+func checkSegmentPrefixes(t *testing.T, followerDir, leaderDir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(followerDir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range segs {
+		fb, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := os.ReadFile(filepath.Join(leaderDir, filepath.Base(path)))
+		if err != nil {
+			t.Fatalf("follower segment %s: %v", filepath.Base(path), err)
+		}
+		if !bytes.HasPrefix(lb, fb) {
+			t.Fatalf("follower segment %s (%d bytes) is not a prefix of the leader's (%d bytes)",
+				filepath.Base(path), len(fb), len(lb))
+		}
+	}
+}
+
 // leaderServer mounts the replication handlers over store.
 func leaderServer(t *testing.T, store *wal.Store) *httptest.Server {
 	t.Helper()
@@ -236,21 +263,24 @@ func TestFailoverAckedSubsetOfPromoted(t *testing.T) {
 			t.Fatalf("offset %d: follower not promoted", off)
 		}
 
-		got := records(t, fstore)
-		n := len(got)
+		n := int(fstore.Seq())
 		if n < acked {
 			t.Fatalf("offset %d: promoted follower lost synced records: %d < acked %d", off, n, acked)
 		}
 		if n > attempted {
 			t.Fatalf("offset %d: promoted follower invented records: %d > attempted %d", off, n, attempted)
 		}
-		for i := range got {
-			if got[i] != recs[i] {
+		checkSegmentPrefixes(t, fdir, ldir)
+		if len(applied) != n {
+			t.Fatalf("offset %d: apply callback saw %d records, store holds %d", off, len(applied), n)
+		}
+		for i := range applied {
+			if applied[i] != recs[i] {
 				t.Fatalf("offset %d: record %d not a workload prefix", off, i)
 			}
 		}
-		if len(applied) != n {
-			t.Fatalf("offset %d: apply callback saw %d records, store holds %d", off, len(applied), n)
+		if got, want := records(t, fstore), logstore.Compact(recs[:n]); !slices.Equal(got, want) {
+			t.Fatalf("offset %d: promoted follower replays %+v, want the compacted prefix %+v", off, got, want)
 		}
 		mem := logstore.NewMem(n)
 		for _, r := range recs[:n] {

@@ -227,9 +227,9 @@ func (d *Distributor) AddRedistribution(l *license.License) (int, error) {
 
 // ensureCache returns a headroom cache consistent with the corpus and
 // the log, building or refreshing it as needed. The first build replays
-// the log (for a WAL-backed store that is snapshot + tail — the
-// recovery warm-up); corpus changes rebuild from the cache's retained
-// counts without touching the log.
+// the log (for a WAL-backed store that is the ledger's compacted form,
+// O(distinct sets) — the recovery warm-up); corpus changes rebuild from
+// the cache's retained counts without touching the log.
 func (d *Distributor) ensureCache(ctx context.Context) (*headroom.Cache, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

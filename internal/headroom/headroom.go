@@ -124,7 +124,8 @@ type group struct {
 // Build replays the issuance log into a fresh cache for the given
 // grouping and aggregate array — the warm-up path, used both at first
 // online issuance and when recovery reopens a corpus over a WAL
-// (ForEach replays snapshot + tail). A record whose set spans groups
+// (whose ForEach replays the ledger's compacted form, one record per
+// set and TTL bucket). A record whose set spans groups
 // cannot arise from instance-valid issuance and fails the build with a
 // KindCrossGroup error.
 func Build(ctx context.Context, grouping overlap.Grouping, aggs []int64, log logstore.Store) (*Cache, error) {

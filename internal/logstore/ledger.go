@@ -1,9 +1,10 @@
 package logstore
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/drmerr"
@@ -272,16 +273,33 @@ func (l *Ledger) Clone() *Ledger {
 	return c
 }
 
-// setBuckets returns the set's TTL buckets ordered by expiry ascending.
-func (l *Ledger) setBuckets(set bitset.Mask) []bucketKey {
-	var keys []bucketKey
+// eachSet walks every set the ledger knows about in mask order. For
+// each it passes the set's TTL buckets in expiry order as issue records,
+// each clamped by the earliest-first budget rule (buckets draw on the
+// set's net count earliest first, so debits beyond the non-expiring pool
+// come out of the latest buckets), and rest, the non-expiring remainder.
+// The bucket keys are sorted once by (set, expiry), so a walk costs
+// O(B log B) for B buckets, not a bucket scan per set. The buckets slice
+// is reused across calls.
+func (l *Ledger) eachSet(fn func(set bitset.Mask, buckets []Record, rest int64)) {
+	keys := make([]bucketKey, 0, len(l.buckets))
 	for k := range l.buckets {
-		if k.set == set {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].expiry < keys[j].expiry })
-	return keys
+	slices.SortFunc(keys, func(a, b bucketKey) int {
+		return cmp.Or(cmp.Compare(a.set, b.set), cmp.Compare(a.expiry, b.expiry))
+	})
+	var buckets []Record
+	for _, set := range l.sets() {
+		budget := l.net[set]
+		buckets = buckets[:0]
+		for ; len(keys) > 0 && keys[0].set == set; keys = keys[1:] {
+			take := min(l.buckets[keys[0]], budget)
+			budget -= take
+			buckets = append(buckets, Record{Set: set, Count: take, Meta: Meta{Expiry: keys[0].expiry}})
+		}
+		fn(set, buckets, budget)
+	}
 }
 
 // sets returns every set the ledger knows about (net, bucket, or
@@ -301,7 +319,7 @@ func (l *Ledger) sets() []bitset.Mask {
 	for s := range seen {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -314,19 +332,14 @@ func (l *Ledger) sets() []bitset.Mask {
 // always sound. Records are ordered by set, then expiry.
 func (l *Ledger) Due(now int64) []Record {
 	var out []Record
-	for _, set := range l.sets() {
-		budget := l.net[set]
-		for _, k := range l.setBuckets(set) {
-			take := l.buckets[k]
-			if take > budget {
-				take = budget
-			}
-			budget -= take
-			if take > 0 && k.expiry <= now {
-				out = append(out, Record{Kind: KindExpire, Set: set, Count: take, Meta: Meta{Expiry: k.expiry}})
+	l.eachSet(func(_ bitset.Mask, buckets []Record, _ int64) {
+		for _, b := range buckets {
+			if b.Count > 0 && b.Expiry <= now {
+				b.Kind = KindExpire
+				out = append(out, b)
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -334,34 +347,24 @@ func (l *Ledger) Due(now int64) []Record {
 // (ordered by mask), one plain issue holding the non-expiring net
 // count, one TTL'd issue per surviving bucket (expiry ascending, each
 // clamped by the earliest-first budget rule), and one transfer carrying
-// the cumulative transferred total. Replaying the result rebuilds an
-// equal ledger.
+// the cumulative transferred total. Replaying the result rebuilds the
+// same net counts, expiry schedule and transfer totals, and its own
+// canonical form is the result again.
 func (l *Ledger) Canonical() []Record {
 	out := make([]Record, 0, len(l.net)+len(l.buckets)+len(l.xfer))
-	for _, set := range l.sets() {
-		budget := l.net[set]
-		keys := l.setBuckets(set)
-		takes := make([]int64, len(keys))
-		for i, k := range keys {
-			take := l.buckets[k]
-			if take > budget {
-				take = budget
-			}
-			budget -= take
-			takes[i] = take
+	l.eachSet(func(set bitset.Mask, buckets []Record, rest int64) {
+		if rest > 0 {
+			out = append(out, Record{Set: set, Count: rest})
 		}
-		if budget > 0 {
-			out = append(out, Record{Set: set, Count: budget})
-		}
-		for i, k := range keys {
-			if takes[i] > 0 {
-				out = append(out, Record{Set: set, Count: takes[i], Meta: Meta{Expiry: k.expiry}})
+		for _, b := range buckets {
+			if b.Count > 0 {
+				out = append(out, b)
 			}
 		}
 		if x := l.xfer[set]; x > 0 {
 			out = append(out, Record{Kind: KindTransfer, Set: set, Count: x})
 		}
-	}
+	})
 	return out
 }
 

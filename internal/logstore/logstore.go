@@ -106,10 +106,14 @@ func (r Record) Validate() error {
 type Store interface {
 	// Append adds one record. Implementations validate the record.
 	Append(Record) error
-	// Len returns the number of records appended so far.
+	// Len returns the number of records appended so far. A store that
+	// compacts (wal.Store) counts its compacted entries plus the records
+	// appended since.
 	Len() int
-	// ForEach replays all records in append order, stopping at the first
-	// error returned by fn.
+	// ForEach replays all records in append order, or a
+	// compaction-equivalent sequence (Compact of the records appended:
+	// the same per-set net counts, TTL buckets and transfer totals),
+	// stopping at the first error returned by fn.
 	ForEach(fn func(Record) error) error
 }
 

@@ -213,19 +213,14 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: recovery failed: %v", off, err)
 		}
-		got := collect(t, s)
-		n := len(got)
+		n := int(s.Seq())
 		if n < acked {
 			t.Fatalf("offset %d: lost synced records: recovered %d < acked %d", off, n, acked)
 		}
 		if n > attempted {
 			t.Fatalf("offset %d: invented records: recovered %d > attempted %d", off, n, attempted)
 		}
-		for i := range got {
-			if got[i] != records[i] {
-				t.Fatalf("offset %d: record %d = %+v, want %+v (not a prefix)", off, i, got[i], records[i])
-			}
-		}
+		checkHistory(t, s, records[:n], fmt.Sprintf("offset %d", off))
 		if gotRep := auditReport(t, corpus, s); !reflect.DeepEqual(gotRep, report(n)) {
 			t.Fatalf("offset %d: audit report after recovery differs from uninterrupted store with %d records", off, n)
 		}
@@ -339,17 +334,13 @@ func TestCrashRecoveryFailedFsync(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: recovery failed: %v", k, err)
 		}
-		got := collect(t, s)
-		if len(got) < acked || len(got) > attempted {
-			t.Fatalf("k=%d: recovered %d outside [acked %d, attempted %d]", k, len(got), acked, attempted)
+		n := int(s.Seq())
+		if n < acked || n > attempted {
+			t.Fatalf("k=%d: recovered %d outside [acked %d, attempted %d]", k, n, acked, attempted)
 		}
-		for i := range got {
-			if got[i] != records[i] {
-				t.Fatalf("k=%d: record %d not a prefix", k, i)
-			}
-		}
-		mem := logstore.NewMem(len(got))
-		for _, r := range records[:len(got)] {
+		checkHistory(t, s, records[:n], fmt.Sprintf("k=%d", k))
+		mem := logstore.NewMem(n)
+		for _, r := range records[:n] {
 			if err := mem.Append(r); err != nil {
 				t.Fatal(err)
 			}

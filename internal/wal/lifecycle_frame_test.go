@@ -39,12 +39,7 @@ func TestLifecycleRoundTripAndReopen(t *testing.T) {
 			t.Fatalf("append %+v: %v", r, err)
 		}
 	}
-	got := collect(t, s)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	checkHistory(t, s, want, "live")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +48,7 @@ func TestLifecycleRoundTripAndReopen(t *testing.T) {
 		t.Fatalf("recovery over mixed-kind frames: %v", err)
 	}
 	defer s2.Close()
-	got = collect(t, s2)
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reopened record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	checkHistory(t, s2, want, "reopened")
 	led := s2.LedgerSnapshot()
 	set := bitset.MaskOf(0, 1)
 	if n := led.Net(set); n != 15 { // 10+10+7 − 5 − 7
@@ -114,10 +101,22 @@ func TestLifecycleSnapshotRecovery(t *testing.T) {
 	}
 }
 
-// writeLifecycleSegment appends issues then a revoke then one more
-// issue, closes the store, and returns the segment path plus the byte
-// offset of the revoke's v2 frame. Layout: 16-byte header, two 24-byte
-// v1 frames, the 33-byte revoke frame, one trailing 24-byte frame.
+// segmentLifecycleRecords is what writeLifecycleSegment appends: two
+// issues, a revoke, one more issue.
+func segmentLifecycleRecords() []logstore.Record {
+	set := bitset.MaskOf(0, 1)
+	return []logstore.Record{
+		{Set: set, Count: 10},
+		{Set: set, Count: 10},
+		{Kind: logstore.KindRevoke, Set: set, Count: 5},
+		{Set: set, Count: 3},
+	}
+}
+
+// writeLifecycleSegment appends segmentLifecycleRecords, closes the
+// store, and returns the segment path plus the byte offset of the
+// revoke's v2 frame. Layout: 16-byte header, two 24-byte v1 frames, the
+// 33-byte revoke frame, one trailing 24-byte frame.
 func writeLifecycleSegment(t *testing.T) (string, int) {
 	t.Helper()
 	dir := t.TempDir()
@@ -125,13 +124,7 @@ func writeLifecycleSegment(t *testing.T) (string, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := bitset.MaskOf(0, 1)
-	for _, r := range []logstore.Record{
-		{Set: set, Count: 10},
-		{Set: set, Count: 10},
-		{Kind: logstore.KindRevoke, Set: set, Count: 5},
-		{Set: set, Count: 3},
-	} {
+	for _, r := range segmentLifecycleRecords() {
 		if err := s.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -221,9 +214,7 @@ func TestTornLedgerFrameTruncated(t *testing.T) {
 		t.Fatalf("recovery over torn ledger frame: %v", err)
 	}
 	defer s.Close()
-	if got := len(collect(t, s)); got != 4 {
-		t.Fatalf("recovered %d records, want 4", got)
-	}
+	checkHistory(t, s, segmentLifecycleRecords(), "recovered")
 	if tb := s.RecoveryStats().TruncatedBytes; tb != int64(len(debris)) {
 		t.Errorf("TruncatedBytes = %d, want %d", tb, len(debris))
 	}

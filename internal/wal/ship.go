@@ -239,7 +239,6 @@ func (s *Store) IngestFrames(start Cursor, data []byte) (next Cursor, recs []log
 			return start, nil, err
 		}
 		s.seq += uint64(len(recs))
-		s.tail = append(s.tail, recs...)
 		s.sinceSnap += len(recs)
 		M.Appends.Add(int64(len(recs)))
 	}

@@ -194,9 +194,7 @@ func TestShipMixedFramesFreshFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	shipAll(t, leader, follower, 50) // window smaller than two v2 frames
-	if got := collect(t, follower); !reflect.DeepEqual(got, want) {
-		t.Fatalf("shipped records = %+v, want %+v", got, want)
-	}
+	checkHistory(t, follower, want, "follower")
 	if !reflect.DeepEqual(segmentBytesOf(t, leaderDir), segmentBytesOf(t, followerDir)) {
 		t.Fatal("mixed-frame mirror is not byte-identical")
 	}
@@ -211,9 +209,7 @@ func TestShipMixedFramesFreshFollower(t *testing.T) {
 		t.Fatalf("reopening mixed-frame mirror: %v", err)
 	}
 	defer reopened.Close()
-	if got := collect(t, reopened); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered mirror records = %+v, want %+v", got, want)
-	}
+	checkHistory(t, reopened, want, "reopened mirror")
 }
 
 // TestShipBootstrapAfterCompaction covers the fresh-follower path when

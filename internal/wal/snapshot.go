@@ -120,8 +120,9 @@ type SnapshotInfo struct {
 
 // Snapshot checkpoints the store: fsync the active segment (the
 // watermark invariant — the watermark never points past durable bytes),
-// compact snapshot+tail into per-set counts, atomically install the new
-// snapshot document, and retire fully covered segments in the background.
+// write the ledger's canonical form as the new snapshot document,
+// install it atomically, and retire fully covered segments in the
+// background.
 // Appends proceed as soon as the method returns; the store stays open
 // throughout.
 func (s *Store) Snapshot() (SnapshotInfo, error) {
@@ -130,7 +131,7 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 
 // SnapshotContext is Snapshot with a context for tracing: a traced
 // request records a "wal.snapshot" span (with compacted record count and
-// watermark attrs) covering the fsync, compaction, and atomic install.
+// watermark attrs) covering the fsync, canonical form, and atomic install.
 // The context does not cancel a snapshot mid-install.
 func (s *Store) SnapshotContext(ctx context.Context) (SnapshotInfo, error) {
 	ctx, sp := trace.Start(ctx, "wal.snapshot")
@@ -154,13 +155,7 @@ func (s *Store) snapshotLocked(ctx context.Context) (SnapshotInfo, error) {
 	if err := s.syncLocked(ctx); err != nil {
 		return SnapshotInfo{}, err
 	}
-	merged := s.snap
-	if len(s.tail) > 0 {
-		both := make([]logstore.Record, 0, len(s.snap)+len(s.tail))
-		both = append(both, s.snap...)
-		both = append(both, s.tail...)
-		merged = logstore.Compact(both)
-	}
+	merged := s.ledger.Canonical()
 	doc := snapshotDoc{Version: snapshotVersion, Seq: s.seq, Segment: s.segIdx, Offset: s.size, Records: merged}
 	doc.CRC = doc.crcOf()
 	path := filepath.Join(s.dir, snapshotFile)
@@ -171,16 +166,14 @@ func (s *Store) snapshotLocked(ctx context.Context) (SnapshotInfo, error) {
 		// is still consistent, so this is not a poisoning failure.
 		return SnapshotInfo{}, fmt.Errorf("wal: installing snapshot: %w", err)
 	}
-	s.snap = merged
-	s.tail = nil
 	// Compaction clamps TTL buckets that revokes partially consumed
 	// (logstore.Compact's earliest-first budget rule); rebuilding the
 	// ledger from the merged records keeps this store's expiry schedule
 	// identical to the one a recovery from the new snapshot would build.
 	s.ledger = *logstore.LedgerOf(merged)
+	s.snapLen = len(merged)
 	s.snapSeq = s.seq
 	s.snapSeg = s.segIdx
-	s.snapOff = s.size
 	s.sinceSnap = 0
 	s.lastSnap = time.Now()
 	info := SnapshotInfo{

@@ -8,24 +8,29 @@
 // production scale log durability and restart time become the bottleneck.
 // The JSONL logstore.File is buffered with no fsync, no checksums, and no
 // torn-tail handling, and every open replays O(issued licenses). This
-// store bounds restart work to O(distinct sets) + the tail since the last
-// snapshot:
+// store holds no per-record history in memory: the lifecycle ledger
+// (logstore.Ledger, per-set net counts) is its only in-memory copy of the
+// log, so memory and every replay are O(distinct sets), and restart work
+// is O(distinct sets) + the tail since the last snapshot:
 //
 //   - Appends write binary frames (frame.go) into numbered segment files
-//     (segment.go), rotating at Options.SegmentBytes.
+//     (segment.go), rotating at Options.SegmentBytes, and fold each record
+//     into the ledger.
 //   - Durability follows Options.Fsync: FsyncAlways fsyncs before an
 //     append is acknowledged; FsyncInterval group-commits — a background
 //     syncer fsyncs at most once per Options.Interval, covering every
 //     append in the window with one fsync; FsyncOS leaves flushing to the
 //     page cache.
-//   - A snapshot persists the compacted per-set counts (at most 2^{N_k}−1
-//     per overlap group, Table 2's compacted form) plus the watermark
-//     (segment, offset, seq) up to which they aggregate the log. Open
-//     loads the snapshot and replays only the tail beyond the watermark.
-//   - Recovery scans frames, verifies checksums, truncates a torn tail
-//     (the suffix a crashed append leaves), and surfaces mid-log
-//     corruption — a bad frame with valid frames after it — as a typed
-//     drmerr.KindStoreCorrupt error instead of guessing.
+//   - A snapshot persists the ledger's canonical form (at most
+//     2^{N_k}−1 sets per overlap group, Table 2's compacted form) plus
+//     the watermark (segment, offset, seq) up to which it aggregates the
+//     log. Open loads the snapshot and replays only the tail beyond the
+//     watermark.
+//   - Recovery streams frames through a bounded reader into the ledger,
+//     verifies checksums, truncates a torn tail (the suffix a crashed
+//     append leaves), and surfaces mid-log corruption — a bad frame with
+//     valid frames after it — as a typed drmerr.KindStoreCorrupt error
+//     instead of guessing.
 //   - Compaction retires segments wholly covered by the snapshot in the
 //     background, without closing the store.
 //
@@ -35,12 +40,12 @@
 //     fsynced bytes (Snapshot syncs the active segment before computing
 //     it), so a loaded snapshot's replay start always lands on durable,
 //     frame-aligned data.
-//   - Recovery ≡ uninterrupted audit: the records a recovered store
-//     replays are a compaction-equivalent prefix of the records appended,
-//     containing every fsync-acknowledged record, inventing none; the
-//     audit report over the recovered store is identical to the report an
-//     uninterrupted store holding that prefix produces (crash_test.go
-//     proves this at every injected failure offset).
+//   - Recovery ≡ uninterrupted audit: a recovered store holds a prefix
+//     of the records appended, containing every fsync-acknowledged
+//     record, inventing none; ForEach replays that prefix's compacted
+//     form, so the audit report over the recovered store is identical to
+//     the report an uninterrupted store holding that prefix produces
+//     (crash_test.go proves this at every injected failure offset).
 //
 // Store implements logstore.Store (and logstore.Durable), so the engine,
 // catalog, server, and CLI tools use it interchangeably with the JSONL
@@ -48,6 +53,7 @@
 package wal
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -175,9 +181,9 @@ type RecoveryStats struct {
 }
 
 // Store is a durable, segmented, checksummed issuance log. All methods
-// are safe for concurrent use. The in-memory state mirrors the durable
-// one — compacted snapshot entries plus the tail since the watermark — so
-// ForEach replays without touching disk.
+// are safe for concurrent use. Its in-memory state is the lifecycle
+// ledger of every record appended, O(distinct sets) however long the log,
+// and ForEach replays the ledger's canonical form without touching disk.
 type Store struct {
 	dir  string
 	opts Options
@@ -193,13 +199,11 @@ type Store struct {
 	failed     error  // sticky: a failed write, sync, or snapshot poisons the store
 	closed     bool
 
-	snap      []logstore.Record // compacted records covered by the snapshot
-	snapSeq   uint64            // watermark: records snap aggregates
-	snapSeg   uint64            // watermark segment of the installed snapshot
-	snapOff   int64             // watermark byte offset of the installed snapshot
-	tail      []logstore.Record // records appended after the watermark
-	ledger    logstore.Ledger   // lifecycle state over snap+tail, checked on append
-	sinceSnap int               // appends since the last snapshot
+	ledger    logstore.Ledger // lifecycle state of every record, checked on append
+	snapLen   int             // compacted entries in the installed snapshot
+	snapSeq   uint64          // watermark: records the snapshot aggregates
+	snapSeg   uint64          // watermark segment of the installed snapshot
+	sinceSnap int             // appends since the last snapshot
 	lastSnap  time.Time
 
 	buf []byte // frame scratch, reused across appends
@@ -245,19 +249,25 @@ func (s *Store) RecoveryStats() RecoveryStats { return s.rec }
 // Dir returns the WAL directory.
 func (s *Store) Dir() string { return s.dir }
 
-// recover rebuilds in-memory state from the snapshot and segments,
-// repairing a torn tail, and leaves the store ready to append.
+// recover rebuilds the ledger from the snapshot and segments, repairing
+// a torn tail, and leaves the store ready to append. The append path
+// admits every record before writing it, so a sequence the ledger
+// refuses here means the files were tampered with after the fact.
 func (s *Store) recover() error {
 	doc, err := loadSnapshot(s.dir)
 	if err != nil {
 		return err
 	}
 	if doc != nil {
-		s.snap = doc.Records
-		s.seq = uint64(doc.Seq)
-		s.snapSeq = uint64(doc.Seq)
+		for _, r := range doc.Records {
+			if err := s.ledger.Observe(r); err != nil {
+				return drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
+			}
+		}
+		s.seq = doc.Seq
+		s.snapSeq = doc.Seq
 		s.snapSeg = doc.Segment
-		s.snapOff = doc.Offset
+		s.snapLen = len(doc.Records)
 		s.rec.SnapshotRecords = len(doc.Records)
 	}
 	segs, err := listSegments(s.dir)
@@ -290,20 +300,7 @@ func (s *Store) recover() error {
 		}
 		s.rec.SegmentsScanned++
 	}
-	s.rec.TailRecords = len(s.tail)
-	// Rebuild the lifecycle ledger over the recovered state. The append
-	// path admits every record before writing it, so an unsound sequence
-	// here means the segments were tampered with after the fact.
-	for _, r := range s.snap {
-		if err := s.ledger.Observe(r); err != nil {
-			return drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
-		}
-	}
-	for _, r := range s.tail {
-		if err := s.ledger.Observe(r); err != nil {
-			return drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
-		}
-	}
+	s.rec.TailRecords = int(s.seq - s.snapSeq)
 	if s.segIdx == 0 {
 		// Fresh store, or the only segment was a headerless stub (the
 		// watermark segment always replays, so doc == nil here).
@@ -320,8 +317,8 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// replaySegment reads segment idx from startOff, appending valid frames
-// to the tail. first marks the first replayed segment (whose base
+// replaySegment streams segment idx from startOff, folding valid frames
+// into the ledger. first marks the first replayed segment (whose base
 // sequence cannot be cross-checked exactly); last marks the final one,
 // the only place a torn tail is legal.
 func (s *Store) replaySegment(idx uint64, startOff int64, first bool, doc *snapshotDoc, last bool) error {
@@ -388,35 +385,48 @@ func (s *Store) replaySegment(idx uint64, startOff int64, first bool, doc *snaps
 	}
 	// Read only from the replay start: below a snapshot watermark the bytes
 	// are already aggregated into the snapshot, and skipping them is what
-	// makes snapshot+tail recovery O(tail) instead of O(segment).
-	data := make([]byte, size-startOff)
-	if n, err := f.ReadAt(data, startOff); err != nil && !(err == io.EOF && int64(n) == size-startOff) {
-		return fmt.Errorf("wal: reading segment %d: %w", idx, err)
-	}
-	var off int64
-	for off < int64(len(data)) {
-		rec, n, status := parseFrame(data[off:])
+	// makes snapshot+tail recovery O(tail) instead of O(segment). Frames
+	// stream through a bounded buffer; only the ledger keeps what they add.
+	br := bufio.NewReaderSize(io.NewSectionReader(f, startOff, size-startOff), replayBufSize)
+	off := startOff
+	for off < size {
+		b, rerr := br.Peek(ledgerFrameSize)
+		rec, n, status := parseFrame(b)
 		if status == frameOK {
-			s.tail = append(s.tail, rec)
+			if err := s.ledger.Observe(rec); err != nil {
+				return drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
+			}
+			_, _ = br.Discard(n) // n bytes were just peeked: cannot fail
 			s.seq++
 			off += int64(n)
 			continue
 		}
-		if !last || anyValidFrame(data[off+1:]) {
-			return corrupt(startOff+off, "invalid frame with valid frames after it (mid-log corruption)")
+		if rerr != nil && rerr != io.EOF {
+			return fmt.Errorf("wal: reading segment %d: %w", idx, rerr)
+		}
+		// The one place recovery reads the rest of a segment at once.
+		rest := make([]byte, size-off-1)
+		if n, err := f.ReadAt(rest, off+1); err != nil && !(err == io.EOF && n == len(rest)) {
+			return fmt.Errorf("wal: reading segment %d: %w", idx, err)
+		}
+		if !last || anyValidFrame(rest) {
+			return corrupt(off, "invalid frame with valid frames after it (mid-log corruption)")
 		}
 		// Torn tail: everything from off on is the debris of an append
 		// that never completed. Truncate it away, durably.
-		s.rec.TruncatedBytes += int64(len(data)) - off
-		if err := truncateSegment(path, startOff+off); err != nil {
+		s.rec.TruncatedBytes += size - off
+		if err := truncateSegment(path, off); err != nil {
 			return err
 		}
 		break
 	}
 	s.segIdx = idx
-	s.size = startOff + off
+	s.size = off
 	return nil
 }
+
+// replayBufSize bounds the bytes recovery holds per segment it streams.
+const replayBufSize = 64 << 10
 
 // anyValidFrame reports whether a valid frame parses at any byte offset
 // of b — the recovery test distinguishing a torn tail (pure debris) from
@@ -562,7 +572,6 @@ func (s *Store) AppendBatch(recs []logstore.Record) error {
 			return err
 		}
 		s.seq += uint64(n)
-		s.tail = append(s.tail, recs[:n]...)
 		s.sinceSnap += n
 		M.Appends.Add(int64(n))
 		recs = recs[n:]
@@ -588,7 +597,6 @@ func (s *Store) appendLocked(ctx context.Context, r logstore.Record) error {
 	}
 	s.ledger.Apply(r)
 	s.seq++
-	s.tail = append(s.tail, r)
 	s.sinceSnap++
 	M.Appends.Inc()
 	return s.commitLocked(ctx)
@@ -721,29 +729,27 @@ func (s *Store) Backlog() int64 {
 	return int64(s.seq - s.synced)
 }
 
-// Len implements logstore.Store: the record count a ForEach replay
-// yields — compacted snapshot entries plus the tail.
+// Len implements logstore.Store: the compacted entries of the installed
+// snapshot plus the frames appended since its watermark. ForEach may
+// yield fewer records: it replays the compacted form of both.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.snap) + len(s.tail)
+	return s.snapLen + int(s.seq-s.snapSeq)
 }
 
-// ForEach implements logstore.Store, replaying the compacted snapshot
-// entries then the tail. The aggregation this store's snapshots apply is
-// exactly the one the validation tree applies anyway (summing counts per
-// belongs-to set), so audits over a snapshotted store equal audits over
-// the raw append sequence.
+// ForEach implements logstore.Store, replaying the ledger's canonical
+// form — the sequence a snapshot persists: logstore.Compact of the
+// installed snapshot's records and every record appended since. That
+// aggregation is exactly the one the validation tree applies anyway
+// (summing counts per belongs-to set), so audits over it equal audits
+// over the raw append sequence, and a replay costs O(distinct sets)
+// however long the log.
 func (s *Store) ForEach(fn func(logstore.Record) error) error {
 	s.mu.Lock()
-	snap, tail := s.snap, s.tail
+	recs := s.ledger.Canonical()
 	s.mu.Unlock()
-	for _, r := range snap {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range tail {
+	for _, r := range recs {
 		if err := fn(r); err != nil {
 			return err
 		}

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,6 +39,59 @@ func collect(t *testing.T, s logstore.Store) []logstore.Record {
 		t.Fatalf("collect: %v", err)
 	}
 	return recs
+}
+
+// segmentRecords decodes every frame of every segment file in dir, in
+// log order: the raw append history, which the store itself keeps only
+// on disk.
+func segmentRecords(t *testing.T, dir string) []logstore.Record {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []logstore.Record
+	for _, idx := range segs {
+		data, err := os.ReadFile(segmentPath(dir, idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := parseSegmentHeader(data); !ok {
+			t.Fatalf("segment %d: bad header", idx)
+		}
+		for off := segmentHeaderSize; off < len(data); {
+			rec, n, status := parseFrame(data[off:])
+			if status != frameOK {
+				t.Fatalf("segment %d: invalid frame at byte %d", idx, off)
+			}
+			out = append(out, rec)
+			off += n
+		}
+	}
+	return out
+}
+
+// checkHistory fails the test unless s holds exactly the records want:
+// Seq counts them, the segment files decode to them frame by frame, and
+// ForEach replays their compacted form. It suits stores whose segments
+// were never retired by a snapshot.
+func checkHistory(t *testing.T, s *Store, want []logstore.Record, label string) {
+	t.Helper()
+	if got := s.Seq(); got != uint64(len(want)) {
+		t.Fatalf("%s: Seq = %d, want %d", label, got, len(want))
+	}
+	frames := segmentRecords(t, s.Dir())
+	if len(frames) != len(want) {
+		t.Fatalf("%s: segments hold %d frames, want %d", label, len(frames), len(want))
+	}
+	for i := range want {
+		if frames[i] != want[i] {
+			t.Fatalf("%s: frame %d = %+v, want %+v (not a prefix)", label, i, frames[i], want[i])
+		}
+	}
+	if got, compacted := collect(t, s), logstore.Compact(want); !slices.Equal(got, compacted) {
+		t.Fatalf("%s: ForEach = %+v, want the compacted history %+v", label, got, compacted)
+	}
 }
 
 // sums aggregates records per set — the audit-relevant view, invariant
@@ -78,12 +134,7 @@ func TestRoundTripAndReopen(t *testing.T) {
 	if s.SyncedSeq() != 25 { // FsyncAlways is the default
 		t.Errorf("SyncedSeq = %d, want 25", s.SyncedSeq())
 	}
-	got := collect(t, s)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	checkHistory(t, s, want, "live")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +147,7 @@ func TestRoundTripAndReopen(t *testing.T) {
 	if s2.Seq() != 25 || s2.Len() != 25 {
 		t.Errorf("reopened Seq/Len = %d/%d, want 25/25", s2.Seq(), s2.Len())
 	}
-	got = collect(t, s2)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reopened record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	checkHistory(t, s2, want, "reopened")
 	st := s2.RecoveryStats()
 	if st.TailRecords != 25 || st.SnapshotRecords != 0 || st.TruncatedBytes != 0 {
 		t.Errorf("recovery stats = %+v", st)
@@ -137,15 +183,7 @@ func TestRotationSpansSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got := collect(t, s2)
-	if len(got) != len(want) {
-		t.Fatalf("reopened %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	checkHistory(t, s2, want, "reopened")
 	// Appending after reopen continues the same log.
 	extra := logstore.Record{Set: bitset.MaskOf(3), Count: 7}
 	if err := s2.Append(extra); err != nil {
@@ -154,6 +192,7 @@ func TestRotationSpansSegments(t *testing.T) {
 	if s2.Seq() != 20 {
 		t.Errorf("Seq after append = %d, want 20", s2.Seq())
 	}
+	checkHistory(t, s2, append(want, extra), "after append")
 }
 
 func TestAppendBatchMatchesAppend(t *testing.T) {
@@ -192,15 +231,8 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	a, b := collect(t, r1), collect(t, r2)
-	if len(a) != len(b) {
-		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("record %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
+	checkHistory(t, r1, recs, "appended one by one")
+	checkHistory(t, r2, recs, "appended as a batch")
 }
 
 func TestFsyncInterval(t *testing.T) {
@@ -303,15 +335,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	defer s2.Close()
-	got := collect(t, s2)
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	checkHistory(t, s2, want, "recovered")
 	if tb := s2.RecoveryStats().TruncatedBytes; tb != int64(len(debris)) {
 		t.Errorf("TruncatedBytes = %d, want %d", tb, len(debris))
 	}
@@ -382,12 +406,10 @@ func TestHeaderlessStubDiscarded(t *testing.T) {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	defer s2.Close()
-	if got := collect(t, s2); len(got) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(want))
-	}
 	if _, err := os.Stat(segmentPath(dir, 3)); !errors.Is(err, os.ErrNotExist) {
 		t.Error("stub segment not removed")
 	}
+	checkHistory(t, s2, want, "recovered")
 }
 
 func TestParseFsync(t *testing.T) {
@@ -434,4 +456,146 @@ func TestForeignFilesIgnored(t *testing.T) {
 	if err := s.Append(logstore.Record{Set: 1, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOpenMemoryFlat pins recovery's memory to the ledger, not the log:
+// over the same few belongs-to sets, the bytes Open allocates for a log
+// ten times longer stay flat. Reading segments whole or keeping every
+// record would grow them tenfold.
+func TestOpenMemoryFlat(t *testing.T) {
+	small, large := 100_000, 1_000_000
+	if testing.Short() {
+		small, large = 10_000, 100_000
+	}
+	openAllocs := func(n int) uint64 {
+		dir := t.TempDir()
+		opts := Options{Fsync: FsyncOS}
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch(benchRecords(n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			s, err := Open(dir, opts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Seq(); got != uint64(n) {
+				t.Fatalf("recovered seq %d, want %d", got, n)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	a, b := openAllocs(small), openAllocs(large)
+	t.Logf("Open allocated %d B over %d records, %d B over %d", a, small, b, large)
+	if b > 2*a {
+		t.Fatalf("Open allocated %d B over %d records but %d B over %d: recovery memory grows with the log", b, large, a, small)
+	}
+}
+
+// TestReplayStaysCompacted: ForEach replays the compacted form of what a
+// store holds, whichever path the records came in by — Append,
+// AppendBatch, IngestFrames — and across Snapshot and reopen. A snapshot
+// replaces the history it covers with its compacted form (clamping TTL
+// buckets a revoke ate into), so each store's model does too.
+func TestReplayStaysCompacted(t *testing.T) {
+	opts := Options{SegmentBytes: segmentHeaderSize + 8*recordFrameSize}
+	ldir, fdir := t.TempDir(), t.TempDir()
+	leader, err := Open(ldir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := Open(fdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lmodel, fmodel []logstore.Record // follower: IngestFrames of the leader's frames
+	appended := func(recs ...logstore.Record) {
+		lmodel = append(lmodel, recs...)
+		fmodel = append(fmodel, recs...)
+	}
+	check := func(stage string) {
+		t.Helper()
+		shipAll(t, leader, follower, 64)
+		for _, c := range []struct {
+			name  string
+			s     *Store
+			model []logstore.Record
+		}{{"leader", leader, lmodel}, {"follower", follower, fmodel}} {
+			if got, want := collect(t, c.s), logstore.Compact(c.model); !slices.Equal(got, want) {
+				t.Fatalf("%s: %s ForEach = %+v\nwant compacted %+v", stage, c.name, got, want)
+			}
+		}
+	}
+	appendEach := func(recs []logstore.Record) {
+		t.Helper()
+		for _, r := range recs {
+			if err := leader.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appended(recs...)
+	}
+
+	appendEach(lifecycleRecords())
+	check("append")
+	batch := testRecords(30)
+	if err := leader.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	appended(batch...)
+	check("append batch")
+	ttlSet := bitset.MaskOf(3)
+	appendEach([]logstore.Record{
+		{Set: ttlSet, Count: 10, Meta: logstore.Meta{Expiry: 9000}},
+		{Kind: logstore.KindRevoke, Set: ttlSet, Count: 8},
+	})
+	check("revoke into a TTL bucket")
+	if _, err := leader.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	lmodel = logstore.Compact(lmodel)
+	check("leader snapshot")
+	appendEach([]logstore.Record{{Set: ttlSet, Count: 20}, {Kind: logstore.KindTransfer, Set: ttlSet, Count: 4}})
+	if err := leader.AppendBatch(testRecords(7)); err != nil {
+		t.Fatal(err)
+	}
+	appended(testRecords(7)...)
+	check("after the leader snapshot")
+	if _, err := follower.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	fmodel = logstore.Compact(fmodel)
+	check("follower snapshot")
+
+	for _, s := range []*Store{leader, follower} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if leader, err = Open(ldir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	if follower, err = Open(fdir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	check("reopen")
+	appendEach(testRecords(3))
+	check("append after reopen")
 }
