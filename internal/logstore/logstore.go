@@ -394,17 +394,19 @@ func scanFile(path string) (n int, validEnd int64, led Ledger, err error) {
 	}
 	defer f.Close()
 	dec := json.NewDecoder(f)
+	fold := NewFold(&led)
 	for {
 		var rec Record
 		derr := dec.Decode(&rec)
 		if derr == io.EOF {
+			fold.Flush()
 			return n, validEnd, led, nil
 		}
 		if derr == nil {
 			derr = rec.Validate()
 		}
 		if derr == nil {
-			derr = led.Observe(rec)
+			derr = fold.Observe(rec)
 		}
 		if derr != nil {
 			torn, terr := tailBeyondRepair(f, validEnd)
@@ -584,7 +586,7 @@ func ReadFile(path string, fn func(Record) error) error {
 	defer f.Close()
 	dec := json.NewDecoder(f)
 	var validEnd int64
-	var led Ledger
+	fold := NewFold(&Ledger{})
 	n := 0
 	for {
 		var rec Record
@@ -596,7 +598,7 @@ func ReadFile(path string, fn func(Record) error) error {
 			derr = rec.Validate()
 		}
 		if derr == nil {
-			derr = led.Observe(rec)
+			derr = fold.Observe(rec)
 		}
 		if derr != nil {
 			torn, terr := tailBeyondRepair(f, validEnd)
@@ -620,7 +622,7 @@ func ReadFile(path string, fn func(Record) error) error {
 // state, not a caller mistake.
 func Read(r io.Reader, fn func(Record) error) error {
 	dec := json.NewDecoder(r)
-	var led Ledger
+	fold := NewFold(&Ledger{})
 	for {
 		var rec Record
 		if err := dec.Decode(&rec); err == io.EOF {
@@ -631,7 +633,7 @@ func Read(r io.Reader, fn func(Record) error) error {
 		if err := rec.Validate(); err != nil {
 			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read", err)
 		}
-		if err := led.Observe(rec); err != nil {
+		if err := fold.Observe(rec); err != nil {
 			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read", err)
 		}
 		if err := fn(rec); err != nil {

@@ -1,16 +1,19 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/drmerr"
 	"repro/internal/license"
 	"repro/internal/logstore"
 	"repro/internal/workload"
@@ -350,6 +353,214 @@ func TestCrashRecoveryFailedFsync(t *testing.T) {
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("k=%d: close: %v", k, err)
+		}
+	}
+}
+
+// boundaryRecords builds a sound lifecycle log whose frames alternate
+// between the v1 (24-byte) and v2 (33-byte) encodings: per six records,
+// three plain issues, a TTL issue, a revoke and a transfer.
+func boundaryRecords(n int) []logstore.Record {
+	sets := benchSets()[:40]
+	out := make([]logstore.Record, n)
+	for i := range out {
+		r := logstore.Record{Set: sets[i%len(sets)], Count: int64(1 + i%9)}
+		switch i % 6 {
+		case 2:
+			r.Expiry = 5000 + int64(i%7)
+		case 4:
+			r = logstore.Record{Kind: logstore.KindRevoke, Set: out[i-1].Set, Count: 1}
+		case 5:
+			r.Kind = logstore.KindTransfer
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// referenceReplay is recovery's verdict on one segment file, computed
+// the obvious way over the whole file in memory: parse frames from the
+// header on; at the first bad frame, a valid frame at any later byte
+// offset means mid-log corruption, and otherwise everything from the
+// bad frame on is a torn tail.
+func referenceReplay(data []byte) (recs []logstore.Record, end int, corrupt bool) {
+	off := segmentHeaderSize
+	for off < len(data) {
+		rec, n, status := parseFrame(data[off:])
+		if status != frameOK {
+			for o := off + 1; o+recordFrameSize <= len(data); o++ {
+				if _, _, st := parseFrame(data[o:]); st == frameOK {
+					return recs, off, true
+				}
+			}
+			return recs, off, false
+		}
+		recs = append(recs, rec)
+		off += n
+	}
+	return recs, off, false
+}
+
+// refillEnds returns the file offsets at which the replay buffer's
+// contents end after each refill, replaying a segment whose frames have
+// the given sizes: the arithmetic of replaySegment's scan loop.
+func refillEnds(size int64, frames []int) []int64 {
+	var ends []int64
+	read, buffered := int64(segmentHeaderSize), 0
+	for read < size {
+		for buffered >= ledgerFrameSize {
+			buffered -= frames[0]
+			frames = frames[1:]
+		}
+		n := int(min(int64(replayBufSize-buffered), size-read))
+		read += int64(n)
+		buffered += n
+		ends = append(ends, read)
+	}
+	return ends
+}
+
+// segmentImage appends records to a fresh store and returns the bytes
+// of its one segment.
+func segmentImage(t *testing.T, records []logstore.Record) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: FsyncOS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBatch(records); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCrashRecoveryBufferBoundaries sweeps torn tails and bit flips
+// across the replay buffer's refills, which the small-segment sweeps
+// above never reach. A log of mixed v1 and v2 frames spanning more than
+// three buffers is cut, and separately has one byte flipped, at every
+// offset within one frame of each refill boundary; it is also damaged
+// over more than a buffer's length, and recovered whole at every
+// alignment of its frames to the refills. Each recovery must agree with
+// referenceReplay: the same records (Seq and ForEach), the same
+// truncated size and RecoveryStats, and KindStoreCorrupt for every
+// mid-log flip.
+func TestCrashRecoveryBufferBoundaries(t *testing.T) {
+	check := func(label string, records []logstore.Record, data []byte) {
+		t.Helper()
+		want, end, corrupt := referenceReplay(data)
+		dir := t.TempDir()
+		if err := os.WriteFile(segmentPath(dir, 1), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{Fsync: FsyncOS})
+		if corrupt {
+			if !errors.Is(err, drmerr.ErrStoreCorrupt) {
+				t.Fatalf("%s: mid-log damage: err = %v, want store corrupt", label, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: recovery failed: %v", label, err)
+		}
+		defer s.Close()
+		if got := s.Seq(); got != uint64(len(want)) {
+			t.Fatalf("%s: Seq = %d, want %d", label, got, len(want))
+		}
+		if !slices.Equal(want, records[:len(want)]) {
+			t.Fatalf("%s: reference walk is not a prefix of the log", label)
+		}
+		fi, err := os.Stat(segmentPath(dir, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != int64(end) {
+			t.Fatalf("%s: segment size %d after recovery, want %d", label, fi.Size(), end)
+		}
+		st := s.RecoveryStats()
+		st.Duration = 0
+		if wantSt := (RecoveryStats{TailRecords: len(want), SegmentsScanned: 1, TruncatedBytes: int64(len(data) - end)}); st != wantSt {
+			t.Fatalf("%s: RecoveryStats = %+v, want %+v", label, st, wantSt)
+		}
+		if got := collect(t, s); !slices.Equal(got, logstore.Compact(want)) {
+			t.Fatalf("%s: ForEach differs from the compacted reference prefix", label)
+		}
+	}
+
+	records := boundaryRecords(7500)
+	orig := segmentImage(t, records)
+	frames := make([]int, len(records))
+	for i, r := range records {
+		frames[i] = int(frameSize(r))
+	}
+	ends := refillEnds(int64(len(orig)), frames)
+	if len(ends) < 4 {
+		t.Fatalf("log of %d bytes fills %d replay buffers, want more than 3", len(orig), len(ends))
+	}
+	for _, b := range ends[:len(ends)-1] {
+		for c := b - ledgerFrameSize; c <= b+ledgerFrameSize; c++ {
+			check(fmt.Sprintf("cut at %d (refill end %d)", c, b), records, orig[:c])
+			flipped := slices.Clone(orig)
+			flipped[c] ^= 0xff
+			check(fmt.Sprintf("flip at %d (refill end %d)", c, b), records, flipped)
+		}
+	}
+
+	// Damage longer than the buffer: the next valid frame lies more than
+	// one read of the bad-frame scan away.
+	wiped := slices.Clone(orig)
+	clear(wiped[1000 : 1000+replayBufSize+100])
+	check("wiped past one buffer", records, wiped)
+
+	// Every split a refill can make. Frames start 3k bytes into the
+	// segment's frame area and refills end 3k+1 bytes past some frame
+	// start, so a refill can split a frame only at those points. A
+	// prefix of 4(57−k) plain and 3k TTL issues is 5,472+3k bytes long:
+	// over k = 0..56 the first refill crosses the 171 bytes of the
+	// six-frame pattern at every such point.
+	records = records[:2600] // a little over one buffer
+	sets := benchSets()
+	for k := range 57 {
+		var prefix []logstore.Record
+		for i := range 4 * (57 - k) {
+			prefix = append(prefix, logstore.Record{Set: sets[i%40], Count: 1})
+		}
+		for i := range 3 * k {
+			prefix = append(prefix, logstore.Record{Set: sets[i%40], Count: 1, Meta: logstore.Meta{Expiry: 9000}})
+		}
+		shifted := append(prefix, records...)
+		check(fmt.Sprintf("alignment %d", k), shifted, segmentImage(t, shifted))
+	}
+}
+
+// TestTornTailScanFindsStraddlingFrame plants one valid frame, v1 or v2,
+// in debris at every offset around a read boundary of the bad-frame
+// scan: the reads' ledgerFrameSize−1 overlap must find it whether or not
+// it straddles the boundary, and pure debris must hold no frame.
+func TestTornTailScanFindsStraddlingFrame(t *testing.T) {
+	buf := make([]byte, replayBufSize)
+	debris := make([]byte, 2*replayBufSize)
+	if found, err := anyValidFrame(bytes.NewReader(debris), 0, int64(len(debris)), buf); err != nil || found {
+		t.Fatalf("pure debris: found = %v, err = %v", found, err)
+	}
+	for _, frame := range [][]byte{
+		appendFrame(nil, logstore.Record{Set: 3, Count: 7}),
+		appendFrame(nil, logstore.Record{Kind: logstore.KindRevoke, Set: 3, Count: 7}),
+	} {
+		for pos := replayBufSize - 2*ledgerFrameSize; pos <= replayBufSize+ledgerFrameSize; pos++ {
+			data := slices.Clone(debris)
+			copy(data[pos:], frame)
+			found, err := anyValidFrame(bytes.NewReader(data), 0, int64(len(data)), buf)
+			if err != nil || !found {
+				t.Fatalf("%d-byte frame at %d: found = %v, err = %v", len(frame), pos, found, err)
+			}
 		}
 	}
 }

@@ -26,11 +26,12 @@
 //     the watermark (segment, offset, seq) up to which it aggregates the
 //     log. Open loads the snapshot and replays only the tail beyond the
 //     watermark.
-//   - Recovery streams frames through a bounded reader into the ledger,
-//     verifies checksums, truncates a torn tail (the suffix a crashed
-//     append leaves), and surfaces mid-log corruption — a bad frame with
-//     valid frames after it — as a typed drmerr.KindStoreCorrupt error
-//     instead of guessing.
+//   - Recovery scans frames in place from one bounded buffer, verifies
+//     checksums, and folds the records into the ledger through
+//     logstore.Fold, which sums plain credits per set; it truncates a torn
+//     tail (the suffix a crashed append leaves), and surfaces mid-log
+//     corruption — a bad frame with valid frames after it — as a typed
+//     drmerr.KindStoreCorrupt error instead of guessing.
 //   - Compaction retires segments wholly covered by the snapshot in the
 //     background, without closing the store.
 //
@@ -53,7 +54,7 @@
 package wal
 
 import (
-	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -258,9 +259,12 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
+	// One fold carries the snapshot's records and every frame beyond the
+	// watermark into the ledger, summing plain credits per set.
+	fold := logstore.NewFold(&s.ledger)
 	if doc != nil {
 		for _, r := range doc.Records {
-			if err := s.ledger.Observe(r); err != nil {
+			if err := fold.Observe(r); err != nil {
 				return drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
 			}
 		}
@@ -289,17 +293,19 @@ func (s *Store) recover() error {
 				"wal: %s: snapshot watermark names segment %d, which is missing", s.dir, doc.Segment)
 		}
 	}
+	buf := make([]byte, replayBufSize)
 	for i, idx := range replay {
 		last := i == len(replay)-1
 		startOff := int64(segmentHeaderSize)
 		if doc != nil && idx == doc.Segment {
 			startOff = doc.Offset
 		}
-		if err := s.replaySegment(idx, startOff, i == 0, doc, last); err != nil {
+		if err := s.replaySegment(idx, startOff, i == 0, doc, last, fold, buf); err != nil {
 			return err
 		}
 		s.rec.SegmentsScanned++
 	}
+	fold.Flush()
 	s.rec.TailRecords = int(s.seq - s.snapSeq)
 	if s.segIdx == 0 {
 		// Fresh store, or the only segment was a headerless stub (the
@@ -317,11 +323,13 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// replaySegment streams segment idx from startOff, folding valid frames
+// replaySegment scans segment idx from startOff, folding valid frames
 // into the ledger. first marks the first replayed segment (whose base
 // sequence cannot be cross-checked exactly); last marks the final one,
-// the only place a torn tail is legal.
-func (s *Store) replaySegment(idx uint64, startOff int64, first bool, doc *snapshotDoc, last bool) error {
+// the only place a torn tail is legal. buf is the replay buffer, shared
+// by every segment and by the bad-frame scan, so recovery holds
+// replayBufSize bytes of log however large a segment grows.
+func (s *Store) replaySegment(idx uint64, startOff int64, first bool, doc *snapshotDoc, last bool, fold *logstore.Fold, buf []byte) error {
 	path := segmentPath(s.dir, idx)
 	f, err := os.Open(path)
 	if err != nil {
@@ -349,11 +357,11 @@ func (s *Store) replaySegment(idx uint64, startOff int64, first bool, doc *snaps
 			// snapshot was installed; a bad one is real corruption.
 			return corrupt(0, "bad segment header under snapshot watermark")
 		}
-		data, err := os.ReadFile(path)
+		torn, err := tornTail(f, 0, size, last, buf)
 		if err != nil {
 			return fmt.Errorf("wal: reading segment %d: %w", idx, err)
 		}
-		if !last || anyValidFrame(data) {
+		if !torn {
 			return corrupt(0, "bad segment header")
 		}
 		// A crash during segment creation left a headerless stub as the
@@ -386,58 +394,96 @@ func (s *Store) replaySegment(idx uint64, startOff int64, first bool, doc *snaps
 	// Read only from the replay start: below a snapshot watermark the bytes
 	// are already aggregated into the snapshot, and skipping them is what
 	// makes snapshot+tail recovery O(tail) instead of O(segment). Frames
-	// stream through a bounded buffer; only the ledger keeps what they add.
-	br := bufio.NewReaderSize(io.NewSectionReader(f, startOff, size-startOff), replayBufSize)
-	off := startOff
-	for off < size {
-		b, rerr := br.Peek(ledgerFrameSize)
-		rec, n, status := parseFrame(b)
-		if status == frameOK {
-			if err := s.ledger.Observe(rec); err != nil {
+	// are parsed in place from buf[lo:hi], which holds the file bytes from
+	// off to read; a frame split by a refill moves to the front of buf
+	// first. Only the ledger keeps what they add.
+	off, read := startOff, startOff
+	lo, hi := 0, 0
+scan:
+	for {
+		// A frame is never longer than ledgerFrameSize, so while that
+		// many bytes are buffered (or the file has no more) a parse that
+		// fails is the frame's own fault, not the buffer's.
+		for hi-lo >= ledgerFrameSize || (read == size && lo < hi) {
+			rec, n, status := parseFrame(buf[lo:hi])
+			if status != frameOK {
+				torn, err := tornTail(f, off+1, size, last, buf)
+				if err != nil {
+					return fmt.Errorf("wal: reading segment %d: %w", idx, err)
+				}
+				if !torn {
+					return corrupt(off, "invalid frame with valid frames after it (mid-log corruption)")
+				}
+				// Torn tail: everything from off on is the debris of an
+				// append that never completed. Truncate it away, durably.
+				s.rec.TruncatedBytes += size - off
+				if err := truncateSegment(path, off); err != nil {
+					return err
+				}
+				break scan
+			}
+			if err := fold.Observe(rec); err != nil {
 				return drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
 			}
-			_, _ = br.Discard(n) // n bytes were just peeked: cannot fail
 			s.seq++
+			lo += n
 			off += int64(n)
-			continue
 		}
-		if rerr != nil && rerr != io.EOF {
-			return fmt.Errorf("wal: reading segment %d: %w", idx, rerr)
+		if read == size {
+			break
 		}
-		// The one place recovery reads the rest of a segment at once.
-		rest := make([]byte, size-off-1)
-		if n, err := f.ReadAt(rest, off+1); err != nil && !(err == io.EOF && n == len(rest)) {
-			return fmt.Errorf("wal: reading segment %d: %w", idx, err)
+		hi = copy(buf, buf[lo:hi])
+		lo = 0
+		n := int(min(int64(len(buf)-hi), size-read))
+		if m, err := f.ReadAt(buf[hi:hi+n], read); m < n {
+			return fmt.Errorf("wal: reading segment %d: %w", idx, cmp.Or(err, io.ErrUnexpectedEOF))
 		}
-		if !last || anyValidFrame(rest) {
-			return corrupt(off, "invalid frame with valid frames after it (mid-log corruption)")
-		}
-		// Torn tail: everything from off on is the debris of an append
-		// that never completed. Truncate it away, durably.
-		s.rec.TruncatedBytes += size - off
-		if err := truncateSegment(path, off); err != nil {
-			return err
-		}
-		break
+		hi += n
+		read += int64(n)
 	}
 	s.segIdx = idx
 	s.size = off
 	return nil
 }
 
-// replayBufSize bounds the bytes recovery holds per segment it streams.
+// tornTail reports whether damage in a segment is a torn tail: the
+// debris of a crashed append, legal only in the last segment and only
+// with no valid frame in [from, size). Anything else is mid-log
+// corruption.
+func tornTail(f io.ReaderAt, from, size int64, last bool, buf []byte) (bool, error) {
+	if !last {
+		return false, nil
+	}
+	valid, err := anyValidFrame(f, from, size, buf)
+	return !valid, err
+}
+
+// replayBufSize bounds the bytes recovery holds of the log it reads.
 const replayBufSize = 64 << 10
 
 // anyValidFrame reports whether a valid frame parses at any byte offset
-// of b — the recovery test distinguishing a torn tail (pure debris) from
-// mid-log corruption (real records beyond the damage).
-func anyValidFrame(b []byte) bool {
-	for off := 0; off+recordFrameSize <= len(b); off++ {
-		if _, _, status := parseFrame(b[off:]); status == frameOK {
-			return true
+// in [from, size) of f — the recovery test distinguishing a torn tail
+// (pure debris) from mid-log corruption (real records beyond the
+// damage). It reads through buf, overlapping consecutive reads by
+// ledgerFrameSize−1 bytes so that a frame straddling two reads is
+// parsed whole in the second.
+func anyValidFrame(f io.ReaderAt, from, size int64, buf []byte) (bool, error) {
+	for p := from; p < size; {
+		n := int(min(int64(len(buf)), size-p))
+		if m, err := f.ReadAt(buf[:n], p); m < n {
+			return false, cmp.Or(err, io.ErrUnexpectedEOF)
 		}
+		for o := 0; o+recordFrameSize <= n; o++ {
+			if _, _, status := parseFrame(buf[o:n]); status == frameOK {
+				return true, nil
+			}
+		}
+		if p+int64(n) == size {
+			break
+		}
+		p += int64(n - (ledgerFrameSize - 1))
 	}
-	return false
+	return false, nil
 }
 
 // truncateSegment durably cuts a segment file to size.
