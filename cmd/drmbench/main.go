@@ -36,9 +36,11 @@
 //	drmbench -lifecycle -lifecycle-mix 8:1:1 -lifecycle-json lifecycle.json
 //
 // -repl benchmarks WAL log shipping: a follower catching a leader up
-// over real replication handlers in bounded fetch windows (throughput,
-// fetch rounds, lag-convergence time), then a failover — leader gone,
-// follower promoted, first post-promotion write:
+// over real replication handlers in bounded fetch windows, applying
+// them into a real distributor (throughput, fetch rounds, lag-
+// convergence time split into fetch, ingest and apply), then a
+// failover — leader gone, follower promoted, first post-promotion
+// write:
 //
 //	drmbench -repl -repl-max 100000 -repl-json BENCH_repl.json
 //
@@ -60,6 +62,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drmerr"
 	"repro/internal/logstore"
@@ -109,9 +112,9 @@ func run(args []string, out io.Writer) error {
 		replMode = fs.Bool("repl", false,
 			"benchmark WAL log shipping: follower catch-up throughput, lag convergence, and promote/failover time")
 		replMax = fs.Int("repl-max", 100_000,
-			"largest leader record count in the -repl sweep (decades from 10k)")
-		replWindow = fs.Int("repl-window", 64<<10,
-			"replication fetch window in bytes per round-trip")
+			"largest leader record count in the -repl sweep (decades from 10k, then this count)")
+		replWindow = fs.Int("repl-window", cluster.DefaultMaxBytes,
+			"replication fetch window in bytes per round-trip (default: the server follower's)")
 		replJSON = fs.String("repl-json", "",
 			"also write the -repl rows as a JSON artifact to this path")
 		statsPath = fs.String("stats", "",

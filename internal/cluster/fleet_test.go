@@ -357,7 +357,7 @@ func TestFollowerFetchInjectsTraceparent(t *testing.T) {
 	mux.HandleFunc("/v1/repl/wal", func(w http.ResponseWriter, r *http.Request) {
 		got = r.Header.Get(trace.Header)
 		calls++
-		writeJSON(w, http.StatusOK, ShipResponse{})
+		serveWindow(w, wal.StartCursor(), wal.StartCursor(), 0, nil)
 	})
 	leader := httptest.NewServer(mux)
 	defer leader.Close()

@@ -1,11 +1,12 @@
 // Follower side of log shipping: a fetch loop that tails the leader's
 // WAL from the local durable watermark, ingests each window byte for
 // byte (wal.IngestFrames), and hands the decoded records to an apply
-// callback so the serving layer keeps its derived state — stats and the
-// headroom admission cache — warm without replaying the log. A follower
-// whose cursor fell below the leader's snapshot watermark (410 Gone)
-// re-bootstraps: it fetches the leader's snapshot + watermark prefix
-// and asks the server to rebuild its store from it.
+// callback, before it publishes the new cursor, so the serving layer
+// keeps its derived state — stats and the headroom admission cache —
+// warm without replaying the log. A follower whose cursor fell below
+// the leader's snapshot watermark (410 Gone) re-bootstraps: it fetches
+// the leader's snapshot + watermark prefix and asks the server to
+// rebuild its store from it.
 //
 // Promotion drains the loop — the in-flight fetch finishes, one final
 // best-effort catch-up runs — and then the store is simply appendable:
@@ -112,6 +113,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
+	// A leader serves at least one whole frame whatever the window asks.
+	cfg.MaxBytes = max(cfg.MaxBytes, wal.MaxFrameSize)
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
@@ -138,9 +141,8 @@ func (f *Follower) Store() *wal.Store {
 // Lag returns the current lag estimate.
 func (f *Follower) Lag() Lag {
 	f.mu.RLock()
-	local := f.cursor.Seq
+	local, leader := f.cursor.Seq, f.leaderSeq.Load()
 	f.mu.RUnlock()
-	leader := f.leaderSeq.Load()
 	var seqs int64
 	if leader > local {
 		seqs = int64(leader - local)
@@ -216,13 +218,8 @@ func (f *Follower) fetchLocked(ctx context.Context) (int, error) {
 		f.cfg.Leader, cur.Segment, cur.Offset, cur.Seq, f.cfg.MaxBytes)
 	M.Fetches.Inc()
 	start := time.Now()
-	var resp ShipResponse
-	status, err := f.getJSON(ctx, u, &resp)
-	if err != nil {
-		M.FetchErrors.Inc()
-		return 0, err
-	}
-	if status == http.StatusGone {
+	w, status, err := f.getWindow(ctx, u)
+	if err == nil && status == http.StatusGone {
 		// The leader compacted past our cursor: the tail we need no
 		// longer exists as segments. Rebuild from its snapshot, then
 		// fetch again so progress (and the leader seq) stay current.
@@ -231,48 +228,77 @@ func (f *Follower) fetchLocked(ctx context.Context) (int, error) {
 		}
 		return f.fetchLocked(ctx)
 	}
-	if status != http.StatusOK {
-		M.FetchErrors.Inc()
-		return 0, drmerr.New(drmerr.KindUnavailable, "cluster.fetch",
+	if err == nil && status != http.StatusOK {
+		err = drmerr.New(drmerr.KindUnavailable, "cluster.fetch",
 			"cluster: leader answered %d for %s", status, cur)
+	}
+	if err != nil {
+		M.FetchErrors.Inc()
+		return 0, err
 	}
 	if M.FetchSeconds != nil {
 		M.FetchSeconds.Observe(time.Since(start).Seconds())
 	}
-
-	batch := resp.Batch
-	next := batch.Next
-	var recs []logstore.Record
-	if len(batch.Data) > 0 {
-		// Ingest from batch.Start, not our cursor: ReadFrames may have
-		// advanced across a sealed-segment boundary before finding data.
-		got, r, err := store.IngestFrames(batch.Start, batch.Data)
-		if err != nil {
-			M.FetchErrors.Inc()
-			return 0, err
-		}
-		if got != next {
-			M.FetchErrors.Inc()
-			return 0, drmerr.New(drmerr.KindStoreCorrupt, "cluster.fetch",
-				"cluster: ingest landed at %s, leader said %s", got, next)
-		}
-		recs = r
-		M.AppliedRecords.Add(int64(len(recs)))
+	recs, err := land(store, w)
+	if err != nil {
+		M.FetchErrors.Inc()
+		return 0, err
 	}
-	f.mu.Lock()
-	f.cursor = next
-	f.mu.Unlock()
-	f.leaderSeq.Store(resp.LeaderSeq)
-	f.lastFetch.Store(time.Now().UnixNano())
-	f.observeLag()
+	// Apply before publishing: a reader that sees the new seq (role,
+	// lag, readiness) must also see its records in stats and headroom.
 	if len(recs) > 0 && f.cfg.Apply != nil {
 		f.cfg.Apply(ctx, recs)
 	}
+	M.AppliedRecords.Add(int64(len(recs)))
+	f.mu.Lock()
+	f.cursor = w.next
+	f.leaderSeq.Store(w.leaderSeq)
+	f.mu.Unlock()
+	f.lastFetch.Store(time.Now().UnixNano())
+	f.observeLag()
 	return len(recs), nil
 }
 
-// Sync drains the leader: fetches until a round-trip ingests nothing
-// and the cursor has reached the leader's durable seq.
+// window is one WAL fetch as it came off the wire.
+type window struct {
+	start, next wal.Cursor
+	leaderSeq   uint64
+	data        []byte
+}
+
+// land checks a window against store's frontier and ingests it,
+// returning the decoded records. Ingest starts from the window's start,
+// not the follower's cursor: ReadFrames may have advanced across a
+// sealed-segment boundary before finding data. Both cursors must agree
+// with the body — same segment, Next just past the last byte, one seq
+// per frame — before anything is written, and a window with no frames
+// is accepted only at the frontier or its one-step rotation, so a
+// confused leader cannot move the cursor off the store's bytes.
+func land(store *wal.Store, w window) ([]logstore.Record, error) {
+	frames := wal.CountFrames(w.data)
+	if w.next.Segment != w.start.Segment || w.next.Offset != w.start.Offset+int64(len(w.data)) ||
+		w.next.Seq < w.start.Seq || w.next.Seq-w.start.Seq != uint64(frames) {
+		return nil, drmerr.New(drmerr.KindStoreCorrupt, "cluster.fetch",
+			"cluster: window %s..%s does not span its %d bytes of %d frames", w.start, w.next, len(w.data), frames)
+	}
+	if len(w.data) == 0 {
+		return nil, store.CheckFrontier(w.start)
+	}
+	got, recs, err := store.IngestFrames(w.start, w.data)
+	if err != nil {
+		return nil, err
+	}
+	if got != w.next {
+		return nil, drmerr.New(drmerr.KindStoreCorrupt, "cluster.fetch",
+			"cluster: ingest landed at %s, leader said %s", got, w.next)
+	}
+	return recs, nil
+}
+
+// Sync drains the leader: fetches until a round-trip ingests nothing or
+// the cursor reaches the leader's durable seq. Each response carries
+// that seq, so a follower that one window brings level stops there,
+// without a second, empty round-trip to confirm it.
 func (f *Follower) Sync(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -282,10 +308,7 @@ func (f *Follower) Sync(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		f.mu.RLock()
-		cur := f.cursor
-		f.mu.RUnlock()
-		if n == 0 && cur.Seq >= f.leaderSeq.Load() {
+		if n == 0 || f.Lag().Seqs == 0 {
 			return nil
 		}
 	}
@@ -368,27 +391,104 @@ func (f *Follower) observeLag() {
 	M.LagSeconds.Set(lag.Seconds)
 }
 
-// getJSON GETs url and decodes a JSON body into v for 200 responses;
-// other statuses return with the body drained and v untouched.
-func (f *Follower) getJSON(ctx context.Context, url string, v any) (int, error) {
+// get GETs url with ctx's trace injected. For a 200 it returns the
+// response with the body open; any other status comes back with the
+// body drained and closed. A leader it cannot reach is unavailable.
+func (f *Follower) get(ctx context.Context, url string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, err
+		return nil, drmerr.Wrap(drmerr.KindInvalidInput, "cluster.fetch", err)
 	}
 	trace.Inject(ctx, req.Header)
 	resp, err := f.cfg.Client.Do(req)
 	if err != nil {
-		return 0, err
+		return nil, drmerr.Wrap(drmerr.KindUnavailable, "cluster.fetch", err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return resp.StatusCode, nil
+		resp.Body.Close()
 	}
+	return resp, nil
+}
+
+// getJSON GETs url and decodes a JSON body into v for 200 responses;
+// other statuses return with v untouched.
+func (f *Follower) getJSON(ctx context.Context, url string, v any) (int, error) {
+	resp, err := f.get(ctx, url)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return statusOf(resp), err
+	}
+	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		return resp.StatusCode, drmerr.Wrap(drmerr.KindStoreCorrupt, "cluster.fetch", err)
 	}
 	return resp.StatusCode, nil
+}
+
+// getWindow GETs one WAL window. A 200 must be a raw frame window —
+// any other content type is refused as ErrProtocolMismatch — whose body
+// fits the follower's max_bytes; the body is read whole before the
+// window is returned. Other statuses return with an empty window.
+func (f *Follower) getWindow(ctx context.Context, url string) (window, int, error) {
+	resp, err := f.get(ctx, url)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return window{}, statusOf(resp), err
+	}
+	defer resp.Body.Close()
+	status := resp.StatusCode
+	if ct := resp.Header.Get("Content-Type"); ct != walContentType {
+		return window{}, status, fmt.Errorf("cluster: WAL fetch answered %q, want %q: %w", ct, walContentType, ErrProtocolMismatch)
+	}
+	var w window
+	if w.start, err = parseCursorHeader(resp.Header, headerStart); err != nil {
+		return window{}, status, err
+	}
+	if w.next, err = parseCursorHeader(resp.Header, headerNext); err != nil {
+		return window{}, status, err
+	}
+	if w.leaderSeq, err = strconv.ParseUint(resp.Header.Get(headerLeaderSeq), 10, 64); err != nil {
+		return window{}, status, drmerr.New(drmerr.KindStoreCorrupt, "cluster.fetch",
+			"cluster: bad %s header %q", headerLeaderSeq, resp.Header.Get(headerLeaderSeq))
+	}
+	if w.data, err = readBody(resp, f.cfg.MaxBytes); err != nil {
+		return window{}, status, err
+	}
+	return w, status, nil
+}
+
+// readBody reads a window body of at most max bytes, sized up front
+// when the response declares its length.
+func readBody(resp *http.Response, max int) ([]byte, error) {
+	tooLong := func(n int64) error {
+		return drmerr.New(drmerr.KindStoreCorrupt, "cluster.fetch",
+			"cluster: WAL window of %d bytes exceeds max_bytes %d", n, max)
+	}
+	if n := resp.ContentLength; n >= 0 {
+		if n > int64(max) {
+			return nil, tooLong(n)
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, drmerr.Wrap(drmerr.KindStoreCorrupt, "cluster.fetch", err)
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, int64(max)+1))
+	if err != nil {
+		return nil, drmerr.Wrap(drmerr.KindStoreCorrupt, "cluster.fetch", err)
+	}
+	if len(buf) > max {
+		return nil, tooLong(int64(len(buf)))
+	}
+	return buf, nil
+}
+
+// statusOf is resp's status code, 0 without a response.
+func statusOf(resp *http.Response) int {
+	if resp == nil {
+		return 0
+	}
+	return resp.StatusCode
 }
 
 // ReinstallStore wipes dir, installs the bootstrap document, and opens

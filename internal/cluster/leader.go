@@ -44,7 +44,8 @@ func (l *Leader) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/repl/snapshot", l.HandleSnapshot)
 }
 
-// HandleWAL serves one frame window past the requested watermark.
+// HandleWAL serves one frame window past the requested watermark: the
+// segment bytes as they are, framed by the cursor headers.
 func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, sp := trace.Start(r.Context(), "repl.ship")
@@ -80,7 +81,14 @@ func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	if M.ShipSeconds != nil {
 		M.ShipSeconds.ObserveExemplar(time.Since(start).Seconds(), trace.IDFromContext(ctx))
 	}
-	writeJSON(w, http.StatusOK, ShipResponse{Batch: batch, LeaderSeq: l.store.SyncedSeq()})
+	h := w.Header()
+	h.Set("Content-Type", walContentType)
+	h.Set("Content-Length", strconv.Itoa(len(batch.Data)))
+	h.Set(headerStart, formatCursor(batch.Start))
+	h.Set(headerNext, formatCursor(batch.Next))
+	h.Set(headerLeaderSeq, strconv.FormatUint(l.store.SyncedSeq(), 10))
+	w.WriteHeader(http.StatusOK)
+	w.Write(batch.Data)
 }
 
 // HandleSnapshot serves the bootstrap document a fresh (or compacted-

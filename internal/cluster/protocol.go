@@ -2,11 +2,15 @@
 // endpoints a follower polls —
 //
 //	GET /v1/repl/wal?segment=S&offset=O&seq=Q[&max_bytes=N]
-//	    → ShipResponse: the next window of durable WAL frames past the
-//	      (segment, offset, seq) watermark, raw segment bytes base64'd
-//	      by encoding/json, plus the leader's durable seq for lag math.
-//	      410 Gone when the cursor fell below the snapshot watermark
-//	      (segments compacted away): re-bootstrap.
+//	    → the next window of durable WAL frames past the (segment,
+//	      offset, seq) watermark, as application/octet-stream: the body
+//	      is the leader's segment bytes unchanged, whole frames only,
+//	      each carrying its own CRC32C. Three headers frame it —
+//	      Drm-Repl-Start and Drm-Repl-Next, the cursors ("S,O,Q") before
+//	      and after the body, and Drm-Repl-Leader-Seq, the leader's
+//	      durable seq for lag math. An empty body with Start == Next
+//	      means caught up. 410 Gone when the cursor fell below the
+//	      snapshot watermark (segments compacted away): re-bootstrap.
 //	GET /v1/repl/snapshot
 //	    → wal.BootstrapDoc: snapshot JSON + watermark segment prefix,
 //	      everything a fresh follower needs to start tailing.
@@ -20,8 +24,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"repro/internal/drmerr"
 	"repro/internal/trace"
@@ -36,12 +42,38 @@ const (
 	RoleStandalone = "standalone"
 )
 
-// ShipResponse is one WAL fetch round-trip: the frame window and the
-// leader's durable sequence number at serve time (the follower's lag
-// reference).
-type ShipResponse struct {
-	Batch     wal.Batch `json:"batch"`
-	LeaderSeq uint64    `json:"leader_seq"`
+// The WAL window's content type and framing headers.
+const (
+	walContentType  = "application/octet-stream"
+	headerStart     = "Drm-Repl-Start"
+	headerNext      = "Drm-Repl-Next"
+	headerLeaderSeq = "Drm-Repl-Leader-Seq"
+)
+
+// ErrProtocolMismatch matches a WAL fetch answered in a shape this
+// follower does not speak: a leader of another version, or no leader at
+// all. The follower refuses the window and keeps its cursor.
+var ErrProtocolMismatch = drmerr.Sentinel(drmerr.KindUnavailable,
+	"cluster: leader does not speak this replication wire format")
+
+// formatCursor renders c as a header value, "segment,offset,seq".
+func formatCursor(c wal.Cursor) string {
+	return fmt.Sprintf("%d,%d,%d", c.Segment, c.Offset, c.Seq)
+}
+
+// parseCursorHeader decodes a formatCursor header value.
+func parseCursorHeader(h http.Header, name string) (wal.Cursor, error) {
+	v := h.Get(name)
+	if f := strings.Split(v, ","); len(f) == 3 {
+		seg, err1 := strconv.ParseUint(f[0], 10, 64)
+		off, err2 := strconv.ParseInt(f[1], 10, 64)
+		seq, err3 := strconv.ParseUint(f[2], 10, 64)
+		if err1 == nil && err2 == nil && err3 == nil && off >= 0 {
+			return wal.Cursor{Segment: seg, Offset: off, Seq: seq}, nil
+		}
+	}
+	return wal.Cursor{}, drmerr.New(drmerr.KindStoreCorrupt, "cluster.fetch",
+		"cluster: bad %s header %q", name, v)
 }
 
 // RoleInfo is the role-probe body every cluster peer serves at

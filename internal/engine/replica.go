@@ -10,9 +10,13 @@ package engine
 
 import (
 	"context"
+	"sync/atomic"
 
+	"repro/internal/bitset"
 	"repro/internal/drmerr"
+	"repro/internal/headroom"
 	"repro/internal/logstore"
+	"repro/internal/obs"
 )
 
 // SetReadOnly flips the distributor's replica gate: while set, Issue,
@@ -34,42 +38,21 @@ func (d *Distributor) readOnlyErr(op string) error {
 
 // ApplyReplicated folds records a replication fetch just ingested into
 // the log (wal.IngestFrames) into the distributor's derived state: the
-// stats counters always, and the headroom cache incrementally when one
-// is built and fresh. The log itself is already updated — this must NOT
-// append — so any cache refusal (drift between the mirror and the cache)
-// falls back to marking the cache stale, and the next query replays the
+// stats counters always, and the headroom cache when one is built and
+// fresh. The log itself is already updated — this must NOT append — so
+// any cache refusal (drift between the mirror and the cache) falls back
+// to marking the cache stale, and the next query replays the
 // authoritative log. Safe to call concurrently with read traffic.
+//
+// The cache takes the window as a fold, the way Alg 1 merges records by
+// belongs-to set: each run of consecutive issues is summed per set and
+// each sum admitted once, and the run is flushed before any revoke,
+// expire or transfer. This is exact. Credits only lower slacks, so
+// within a run every intermediate state is dominated by the state at
+// the run's end, which the leader reached by admitting every record: a
+// summed Admit is refused only where a per-record Admit would be.
 func (d *Distributor) ApplyReplicated(ctx context.Context, recs []logstore.Record) {
-	for _, rec := range recs {
-		switch rec.Kind {
-		case logstore.KindIssue:
-			d.issued.Add(1)
-			d.issuedCounts.Add(rec.Count)
-			M.Issued.Inc()
-			M.IssuedCounts.Add(rec.Count)
-		case logstore.KindRevoke:
-			d.revoked.Add(1)
-			d.revokedCounts.Add(rec.Count)
-			M.Revoked.Inc()
-			M.RevokedCounts.Add(rec.Count)
-		case logstore.KindExpire:
-			d.expired.Add(1)
-			d.expiredCounts.Add(rec.Count)
-			M.Expired.Inc()
-			M.ExpiredCounts.Add(rec.Count)
-		case logstore.KindTransfer:
-			d.transferred.Add(1)
-			d.transferredCounts.Add(rec.Count)
-			M.Transferred.Inc()
-			M.TransferredCounts.Add(rec.Count)
-		}
-		d.applyReplicatedCache(ctx, rec)
-	}
-}
-
-// applyReplicatedCache mirrors one shipped record into the headroom
-// cache, exactly as the leader's online path did when it admitted it.
-func (d *Distributor) applyReplicatedCache(ctx context.Context, rec logstore.Record) {
+	d.tallyReplicated(recs)
 	d.mu.Lock()
 	cache := d.cache
 	fresh := cache != nil && !d.cacheDirty && !d.cacheStale
@@ -77,29 +60,103 @@ func (d *Distributor) applyReplicatedCache(ctx context.Context, rec logstore.Rec
 	if !fresh {
 		return
 	}
-	switch rec.Kind {
-	case logstore.KindIssue:
-		_, ok, err := cache.Admit(ctx, rec.Set, rec.Count)
-		if err != nil || !ok {
-			// The leader admitted this record; a refusal here means the
-			// cache drifted from the mirror. Replay on next use.
-			d.markStale()
+	var run issueRun
+	for _, rec := range recs {
+		if rec.Kind == logstore.KindIssue {
+			run.add(rec.Set, rec.Count)
+			continue
+		}
+		if !d.admitRun(ctx, cache, &run) || !d.applyReplicatedDebit(ctx, cache, rec) {
 			return
 		}
-		cache.Confirm()
-	case logstore.KindRevoke, logstore.KindExpire:
-		cache.Hold()
-		err := cache.Credit(ctx, rec.Set, rec.Count)
-		cache.Confirm()
-		if err != nil {
-			d.markStale()
-		}
-	case logstore.KindTransfer:
-		cache.Hold()
-		err := cache.ApplyTransfer(rec.Set, rec.Count)
-		cache.Confirm()
-		if err != nil {
-			d.markStale()
+	}
+	d.admitRun(ctx, cache, &run)
+}
+
+// tallyReplicated adds a window's records to the stats counters, one
+// atomic add per kind.
+func (d *Distributor) tallyReplicated(recs []logstore.Record) {
+	var n, counts [4]int64 // indexed by kind
+	for _, rec := range recs {
+		if rec.Kind.Valid() {
+			n[rec.Kind]++
+			counts[rec.Kind] += rec.Count
 		}
 	}
+	add := func(k logstore.Kind, num, sum *atomic.Int64, mNum, mSum *obs.Counter) {
+		if n[k] > 0 {
+			num.Add(n[k])
+			sum.Add(counts[k])
+			mNum.Add(n[k])
+			mSum.Add(counts[k])
+		}
+	}
+	add(logstore.KindIssue, &d.issued, &d.issuedCounts, M.Issued, M.IssuedCounts)
+	add(logstore.KindRevoke, &d.revoked, &d.revokedCounts, M.Revoked, M.RevokedCounts)
+	add(logstore.KindExpire, &d.expired, &d.expiredCounts, M.Expired, M.ExpiredCounts)
+	add(logstore.KindTransfer, &d.transferred, &d.transferredCounts, M.Transferred, M.TransferredCounts)
+}
+
+// issueRun sums a run of consecutive issues per set, keeping the sets in
+// the order they first appear.
+type issueRun struct {
+	at   map[bitset.Mask]int // index into sums
+	sums []setSum
+}
+
+type setSum struct {
+	set   bitset.Mask
+	count int64
+}
+
+func (r *issueRun) add(set bitset.Mask, count int64) {
+	if i, ok := r.at[set]; ok {
+		r.sums[i].count += count
+		return
+	}
+	if r.at == nil {
+		r.at = make(map[bitset.Mask]int)
+	}
+	r.at[set] = len(r.sums)
+	r.sums = append(r.sums, setSum{set, count})
+}
+
+// admitRun admits each of the run's sums once and empties the run. It
+// reports false, with the cache marked stale, if the cache refused one:
+// the leader admitted these records, so a refusal means the cache
+// drifted from the mirror.
+func (d *Distributor) admitRun(ctx context.Context, cache *headroom.Cache, run *issueRun) bool {
+	defer func() {
+		clear(run.at)
+		run.sums = run.sums[:0]
+	}()
+	for _, s := range run.sums {
+		_, ok, err := cache.Admit(ctx, s.set, s.count)
+		if err != nil || !ok {
+			d.markStale()
+			return false
+		}
+		cache.Confirm()
+	}
+	return true
+}
+
+// applyReplicatedDebit mirrors one shipped revoke, expire or transfer
+// into the cache, exactly as the leader's online path did when it
+// logged it. It reports false, with the cache marked stale, on a
+// refusal.
+func (d *Distributor) applyReplicatedDebit(ctx context.Context, cache *headroom.Cache, rec logstore.Record) bool {
+	cache.Hold()
+	var err error
+	if rec.Kind == logstore.KindTransfer {
+		err = cache.ApplyTransfer(rec.Set, rec.Count)
+	} else {
+		err = cache.Credit(ctx, rec.Set, rec.Count)
+	}
+	cache.Confirm()
+	if err != nil {
+		d.markStale()
+		return false
+	}
+	return true
 }

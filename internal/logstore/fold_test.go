@@ -173,3 +173,44 @@ func TestFoldRebuildsFileLedger(t *testing.T) {
 		t.Fatalf("reopened ledger = %+v\nwant %+v", got, want)
 	}
 }
+
+// TestObserveAllRollsBack pins ObserveAll, which admits a batch through
+// a Fold, to Observe record by record from the same ledger: a batch
+// Observe accepts lands whole, and one it refuses fails with the same
+// error and leaves the ledger exactly as it was.
+func TestObserveAllRollsBack(t *testing.T) {
+	var refused int
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sets, expiries := 1+rng.Intn(8), 1+rng.Intn(6)
+		base := &Ledger{}
+		for _, r := range foldSequence(t, rng, rng.Intn(100), sets, expiries, false) {
+			base.Apply(r)
+		}
+		batch := foldSequence(t, rng, 1+rng.Intn(200), sets, expiries, seed%2 == 0)
+
+		want := base.Clone()
+		_, wantErr := observeAll(batch, want.Observe)
+		got := base.Clone()
+		gotErr := got.ObserveAll(batch)
+		if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("seed %d: ObserveAll error %v, Observe error %v", seed, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			refused++
+			want = base
+		}
+		if g, w := got.Canonical(), want.Canonical(); !slices.Equal(g, w) {
+			t.Fatalf("seed %d: ledger after ObserveAll = %+v\nwant %+v", seed, g, w)
+		}
+		for s := bitset.Mask(1); s <= bitset.Mask(sets); s++ {
+			if got.Net(s) != want.Net(s) || got.Transferred(s) != want.Transferred(s) {
+				t.Fatalf("seed %d: set %v: net %d, transferred %d; want %d, %d",
+					seed, s, got.Net(s), got.Transferred(s), want.Net(s), want.Transferred(s))
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no batch was refused")
+	}
+}

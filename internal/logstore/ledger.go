@@ -202,17 +202,20 @@ func (l *Ledger) unapply(r Record) {
 // ObserveAll admits and applies records atomically: either every
 // record folds in (debits may consume credits earlier in the same
 // batch), or the ledger is left unchanged and the first admission
-// error is returned.
+// error is returned. The records go through a Fold, which refuses the
+// same record Observe would and then holds exactly the records before
+// it, so the rollback unapplies just those.
 func (l *Ledger) ObserveAll(recs []Record) error {
+	f := NewFold(l)
 	for i, r := range recs {
-		if err := l.Admit(r); err != nil {
+		if err := f.Observe(r); err != nil {
 			for j := i - 1; j >= 0; j-- {
 				l.unapply(recs[j])
 			}
 			return err
 		}
-		l.Apply(r)
 	}
+	f.Flush()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -79,10 +80,10 @@ var ErrCompacted = errors.New("wal: ship cursor below snapshot watermark (segmen
 // never spans a segment boundary. An empty Data with Next == Start
 // means the follower is caught up to the leader's durable frontier.
 type Batch struct {
-	Start   Cursor `json:"start"`
-	Next    Cursor `json:"next"`
-	Records int    `json:"records"`
-	Data    []byte `json:"data,omitempty"`
+	Start   Cursor
+	Next    Cursor
+	Records int
+	Data    []byte
 }
 
 // DurableCursor returns the store's durable frontier: the cursor just
@@ -93,14 +94,18 @@ func (s *Store) DurableCursor() Cursor {
 	return Cursor{Segment: s.segIdx, Offset: s.syncedSize, Seq: s.synced}
 }
 
+// MaxFrameSize is the size of the largest frame: the smallest window
+// ReadFrames serves, whatever it is asked for.
+const MaxFrameSize = ledgerFrameSize
+
 // ReadFrames reads up to maxBytes of durable, whole-frame bytes starting
 // at cur. It works on failed (poisoned) and closed stores — the read
 // path is what a failover drains after the leader's write path dies — and
 // returns ErrCompacted (wrapped) when cur falls below the snapshot
 // watermark. maxBytes is clamped to at least one maximal frame.
 func (s *Store) ReadFrames(cur Cursor, maxBytes int) (Batch, error) {
-	if maxBytes < ledgerFrameSize {
-		maxBytes = ledgerFrameSize
+	if maxBytes < MaxFrameSize {
+		maxBytes = MaxFrameSize
 	}
 	for {
 		s.mu.Lock()
@@ -206,6 +211,9 @@ func (s *Store) IngestFrames(start Cursor, data []byte) (next Cursor, recs []log
 	if err := s.stateErrLocked(); err != nil {
 		return start, nil, err
 	}
+	// No frame is shorter than a v1 frame, so this never regrows, and a
+	// window of plain issues fills it exactly.
+	recs = make([]logstore.Record, 0, len(data)/recordFrameSize)
 	var off int
 	for off < len(data) {
 		rec, n, status := parseFrame(data[off:])
@@ -216,15 +224,9 @@ func (s *Store) IngestFrames(start Cursor, data []byte) (next Cursor, recs []log
 		recs = append(recs, rec)
 		off += n
 	}
-	rotate := false
-	switch {
-	case start.Segment == s.segIdx && start.Offset == s.size && start.Seq == s.seq:
-	case start.Segment == s.segIdx+1 && start.Offset == segmentHeaderSize && start.Seq == s.seq:
-		rotate = true
-	default:
-		return start, nil, drmerr.New(drmerr.KindInvalidInput, "wal.ingest",
-			"wal: shipped batch start %v does not match local frontier (seg %d, off %d, seq %d)",
-			start, s.segIdx, s.size, s.seq)
+	rotate, err := s.landsLocked(start)
+	if err != nil {
+		return start, nil, err
 	}
 	if err := s.ledger.ObserveAll(recs); err != nil {
 		return start, nil, drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.ingest", err)
@@ -246,6 +248,43 @@ func (s *Store) IngestFrames(start Cursor, data []byte) (next Cursor, recs []log
 		return start, nil, err
 	}
 	return Cursor{Segment: s.segIdx, Offset: s.size, Seq: s.seq}, recs, nil
+}
+
+// CheckFrontier reports whether a shipped window starting at c would
+// land: c must name the store's frontier, or the header boundary of the
+// next segment. It is IngestFrames' start check, for a follower to run
+// on a window that carries no frames.
+func (s *Store) CheckFrontier(c Cursor) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.landsLocked(c)
+	return err
+}
+
+// landsLocked checks a window start against the frontier and reports
+// whether landing there first rotates into the next segment.
+func (s *Store) landsLocked(start Cursor) (rotate bool, err error) {
+	switch {
+	case start.Segment == s.segIdx && start.Offset == s.size && start.Seq == s.seq:
+		return false, nil
+	case start.Segment == s.segIdx+1 && start.Offset == segmentHeaderSize && start.Seq == s.seq:
+		return true, nil
+	}
+	return false, drmerr.New(drmerr.KindInvalidInput, "wal.ingest",
+		"wal: shipped batch start %v does not match local frontier (seg %d, off %d, seq %d)",
+		start, s.segIdx, s.size, s.seq)
+}
+
+// CountFrames counts the frames of a shipped window by walking their
+// length prefixes. It checks nothing else (IngestFrames verifies every
+// frame), so a follower can hold a window's record count against the
+// cursor its leader sent before any byte is written.
+func CountFrames(data []byte) int {
+	n := 0
+	for off := 0; off+frameHeaderSize <= len(data); n++ {
+		off += frameHeaderSize + int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	return n
 }
 
 // BootstrapDoc carries everything a fresh follower needs to start
