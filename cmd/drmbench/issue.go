@@ -25,7 +25,8 @@ import (
 // issueRow is one point of the online-admission ablation: the same
 // issuance stream decided by the full validation walk (live tree +
 // superset enumeration per op, the pre-cache hot path) versus the
-// headroom cache (slack lookup + in-place decrement).
+// headroom cache (a push on the group's kept maximum flow, then the
+// count kept).
 type issueRow struct {
 	// Priors is how many records the issuance log already holds when the
 	// measured stream starts; DistinctSets is its observed-set frontier.
@@ -56,7 +57,7 @@ type issueRow struct {
 // issueWorkload builds the shared fixture for one ablation point: a
 // corpus, a prior log of about `priors` records, the measured op stream,
 // and budgets topped up far enough that every measured admission is an
-// accept — the expensive path (check + decrement + append) on both arms.
+// accept — the expensive path (check + reservation + append) on both arms.
 type issueFixture struct {
 	n        int
 	corpus   *license.Corpus
@@ -168,8 +169,8 @@ func benchIssueFull(f *issueFixture, ops int) (build time.Duration, lat []time.D
 }
 
 // benchIssueCached measures the cached path: warm the headroom cache
-// from the priors, then per op Admit (check + reserve + decrement),
-// append, Confirm.
+// from the priors, then per op Admit (push + keep the count), append,
+// Confirm.
 func benchIssueCached(f *issueFixture, ops int) (build time.Duration, lat []time.Duration, err error) {
 	log, err := f.priorLog()
 	if err != nil {

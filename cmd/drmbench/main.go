@@ -23,9 +23,9 @@
 //	drmbench -recover -recover-max 10000000
 //
 // -issue benchmarks online admission — the full validation walk the
-// pre-cache hot path ran per issuance versus the incremental headroom
-// cache — over decades of prior-log sizes, optionally writing the rows
-// as a JSON artifact:
+// pre-cache hot path ran per issuance versus the headroom cache's kept
+// maximum flow — over decades of prior-log sizes, optionally writing
+// the rows as a JSON artifact:
 //
 //	drmbench -issue -issue-max 1000000 -issue-json issue.json
 //
@@ -270,8 +270,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "== Extension: issuance-policy loss (Example 1 at scale) ==")
 		}
 		// A sparse sweep suffices: the effect is per-corpus, not per-N.
-		// Online headroom checks are exponential in the belongs-to group's
-		// size, so the sweep stays at modest N.
 		var pns []int
 		for _, n := range []int{4, 8, 12, 16, 20} {
 			if n <= *maxN {

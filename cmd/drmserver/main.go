@@ -806,8 +806,8 @@ type headroomResponse struct {
 	// Pending counts admissions applied to the cache whose log appends
 	// have not confirmed yet (transiently non-zero under load).
 	Pending int64 `json:"pending"`
-	// Groups is the per-group slack state: mode (dense table vs sparse
-	// closure walk), observed-span shape, and the minimum remaining slack.
+	// Groups is the per-group state of the kept flow: observed sets, the
+	// minimum remaining slack, the deficit and the rejections.
 	Groups []headroom.GroupSummary `json:"groups"`
 }
 

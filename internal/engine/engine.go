@@ -13,8 +13,8 @@
 //     immediately against the incrementally maintained headroom cache
 //     (internal/headroom), so violations are rejected at issue time
 //     (loss-free, Example 1's desired behaviour) without walking the
-//     validation tree — admission is a slack lookup plus an in-place
-//     decrement, and batch audits cross-check the cache afterwards;
+//     validation tree — admission is a push on the group's kept maximum
+//     flow, and batch audits cross-check the cache afterwards;
 //   - in ModeOffline issuances are only logged — the paper's operating
 //     point, where "violation of aggregate constraints is not a frequent
 //     event" and auditing happens in batch via the geometric validator.
@@ -454,7 +454,7 @@ func (d *Distributor) issueContext(ctx context.Context, kind license.Kind, rect 
 // TopUp raises the budget of the redistribution license at corpus index i
 // by extra — the remediation an owner applies when audits show a group
 // running hot. Cached headroom reflects the new budget immediately: the
-// affected slack entries are patched in place, not rebuilt.
+// group's kept flow is patched in place, not rebuilt.
 func (d *Distributor) TopUp(i int, extra int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -529,13 +529,14 @@ const (
 // verifyCache is the audit-as-verifier inversion: with admission served
 // from the headroom cache, a completed audit's job includes proving the
 // cache still matches the log it no longer replays per issuance. Two
-// checks run: a structural pass (cache.Verify rebuilds the slack state
-// from the log and diffs counts, tables, and minimums) and a semantic
-// sample (the audit's own divided trees recompute headroom for a few
-// observed sets and compare against the cached answers). Divergence
-// surfaces as a KindHeadroomDivergence error and increments
-// drm_headroom_divergence_total. Skipped — not an error — while
-// admissions are in flight or the cache is out of date with the corpus.
+// checks run: a structural pass (cache.Verify rebuilds the cache from
+// the log, diffs counts, and checks the kept flow is feasible and
+// maximum) and a semantic sample (the audit's own divided trees
+// recompute headroom for a few observed sets and compare against the
+// cached answers). Divergence surfaces as a KindHeadroomDivergence error
+// and increments drm_headroom_divergence_total. Skipped — not an error —
+// while admissions are in flight or the cache is out of date with the
+// corpus.
 func (d *Distributor) verifyCache(ctx context.Context, aud *core.Auditor) error {
 	d.mu.Lock()
 	cache := d.cache

@@ -181,7 +181,7 @@ func TestAdmitSequenceMatchesOracle(t *testing.T) {
 }
 
 // TestSpanGrowth admits sets that keep introducing unobserved licenses
-// and checks the dense table grows without losing exactness.
+// and checks every admission stays exact as they join the flow network.
 func TestSpanGrowth(t *testing.T) {
 	grouping := overlap.Grouping{N: 6, Groups: []overlap.Group{
 		{Members: bitset.FullMask(6), Size: 6},
@@ -197,7 +197,6 @@ func TestSpanGrowth(t *testing.T) {
 		bitset.MaskOf(0), bitset.MaskOf(1, 2), bitset.MaskOf(0, 3),
 		bitset.MaskOf(4), bitset.MaskOf(2, 5),
 	}
-	lastSpan := 0
 	for i, set := range steps {
 		want := oracleRoom(t, 6, log, aggs, set)
 		room, ok, err := c.Admit(ctx, set, 10)
@@ -211,25 +210,14 @@ func TestSpanGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Confirm()
-		sum := c.Summaries()[0]
-		if sum.Mode != "dense" {
-			t.Fatalf("step %d: mode %q, want dense", i, sum.Mode)
-		}
-		if sum.SpanBits < lastSpan {
-			t.Fatalf("step %d: span shrank %d → %d", i, lastSpan, sum.SpanBits)
-		}
-		lastSpan = sum.SpanBits
-	}
-	if lastSpan != 6 {
-		t.Fatalf("final span = %d, want 6", lastSpan)
 	}
 	if _, err := c.Verify(ctx, log); err != nil {
 		t.Fatalf("Verify after growth: %v", err)
 	}
 }
 
-// TestSparseMode forces the closure-walk fallback with a tiny dense
-// budget and checks it stays exact.
+// TestSparseMode checks every set's headroom in a group whose licenses
+// are all observed, then exhausts one set's room.
 func TestSparseMode(t *testing.T) {
 	grouping := overlap.Grouping{N: 5, Groups: []overlap.Group{
 		{Members: bitset.FullMask(5), Size: 5},
@@ -241,12 +229,9 @@ func TestSparseMode(t *testing.T) {
 		logstore.Record{Set: bitset.MaskOf(2, 3), Count: 250},
 		logstore.Record{Set: bitset.MaskOf(1, 4), Count: 60},
 	)
-	c, err := headroom.BuildMaxSpan(context.Background(), grouping, aggs, log, 2)
+	c, err := headroom.Build(context.Background(), grouping, aggs, log)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mode := c.Summaries()[0].Mode; mode != "sparse" {
-		t.Fatalf("mode = %q, want sparse (span 5 > budget 2)", mode)
 	}
 	for s := bitset.Mask(1); s < 1<<5; s++ {
 		room, err := c.Headroom(s)
@@ -277,15 +262,15 @@ func TestSparseMode(t *testing.T) {
 	}
 }
 
-// TestSpanOverflowDuringAdmit grows a dense group past its budget at
-// admission time and checks the sparse fallback keeps exact answers.
+// TestSpanOverflowDuringAdmit admits sets until they cover their group
+// and checks every set's headroom stays exact.
 func TestSpanOverflowDuringAdmit(t *testing.T) {
 	grouping := overlap.Grouping{N: 4, Groups: []overlap.Group{
 		{Members: bitset.FullMask(4), Size: 4},
 	}}
 	aggs := []int64{50, 60, 70, 80}
 	log := memLog(t)
-	c, err := headroom.BuildMaxSpan(context.Background(), grouping, aggs, log, 2)
+	c, err := headroom.Build(context.Background(), grouping, aggs, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,9 +285,6 @@ func TestSpanOverflowDuringAdmit(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Confirm()
-	}
-	if mode := c.Summaries()[0].Mode; mode != "sparse" {
-		t.Fatalf("mode = %q after span overflow, want sparse", mode)
 	}
 	for s := bitset.Mask(1); s < 1<<4; s++ {
 		room, err := c.Headroom(s)
@@ -355,8 +337,8 @@ func TestTopUp(t *testing.T) {
 }
 
 // TestRelease rolls back an admitted-but-unlogged reservation and checks
-// the cache returns to the exact pre-admission state, including a span
-// that must shrink back.
+// the cache returns to the exact pre-admission state, including a set
+// node that must go again.
 func TestRelease(t *testing.T) {
 	aggs := []int64{100, 100, 100, 100, 100, 100}
 	log := memLog(t, logstore.Record{Set: bitset.MaskOf(0), Count: 10})
@@ -365,8 +347,8 @@ func TestRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// The admitted set introduces licenses 1 and 2 into the span; the
-	// failed append must roll that back too.
+	// The admitted set is new to the cache; the failed append must remove
+	// its node too.
 	set := bitset.MaskOf(1, 2)
 	if _, ok, err := c.Admit(ctx, set, 30); err != nil || !ok {
 		t.Fatalf("Admit: ok=%v err=%v", ok, err)

@@ -7,25 +7,16 @@ import "repro/internal/obs"
 // cache records nothing and allocates nothing.
 var M Metrics
 
-// Metrics are the admission-cache signals: check outcomes and cost, the
-// dense/sparse split, structural churn, and verification results.
+// Metrics are the admission-cache signals: check outcomes and cost,
+// rebuilds, and verification results.
 type Metrics struct {
 	// Checks counts admission checks; Admitted/Rejected split their
-	// outcomes. SlowChecks counts the sparse (closure-walk) subset —
-	// the cache-miss regime where the span outgrew the dense table.
-	Checks     *obs.Counter
-	Admitted   *obs.Counter
-	Rejected   *obs.Counter
-	SlowChecks *obs.Counter
-	// Equations counts slack entries touched (read or written) — the
-	// cached counterpart of drm_vtree_equations_checked_total.
-	Equations *obs.Counter
-	// SpanGrowths counts dense-table doublings; SpanOverflows counts
-	// groups falling back to sparse mode; Rebuilds counts warm-ups and
-	// corpus-change rebuilds.
-	SpanGrowths   *obs.Counter
-	SpanOverflows *obs.Counter
-	Rebuilds      *obs.Counter
+	// outcomes.
+	Checks   *obs.Counter
+	Admitted *obs.Counter
+	Rejected *obs.Counter
+	// Rebuilds counts warm-ups and corpus-change rebuilds.
+	Rebuilds *obs.Counter
 	// Verifies/VerifySkipped/Divergence cover the audit-as-verifier
 	// pass; Divergence counting up is an invariant failure.
 	Verifies      *obs.Counter
@@ -33,10 +24,8 @@ type Metrics struct {
 	Divergence    *obs.Counter
 	// CheckSeconds is the wall time of one Admit (check + apply).
 	CheckSeconds *obs.Histogram
-	// Groups and TableBytes describe the cache shape after the last
-	// (re)build.
-	Groups     *obs.Gauge
-	TableBytes *obs.Gauge
+	// Groups is the cache's group count after the last (re)build.
+	Groups *obs.Gauge
 }
 
 // Instrument registers the cache's metric families on reg and points
@@ -49,14 +38,6 @@ func Instrument(reg *obs.Registry) {
 			"Admissions accepted by the headroom cache."),
 		Rejected: reg.Counter("drm_headroom_rejected_total",
 			"Admissions rejected by the headroom cache."),
-		SlowChecks: reg.Counter("drm_headroom_slow_checks_total",
-			"Admission checks served by the sparse closure walk (span outgrew the dense table)."),
-		Equations: reg.Counter("drm_headroom_equations_total",
-			"Cached slack entries read or decremented."),
-		SpanGrowths: reg.Counter("drm_headroom_span_growths_total",
-			"Dense slack-table doublings (a new license entered a group's observed span)."),
-		SpanOverflows: reg.Counter("drm_headroom_span_overflows_total",
-			"Groups that fell back from the dense table to the sparse closure walk."),
 		Rebuilds: reg.Counter("drm_headroom_rebuilds_total",
 			"Cache warm-ups and corpus-change rebuilds."),
 		Verifies: reg.Counter("drm_headroom_verify_total",
@@ -66,10 +47,8 @@ func Instrument(reg *obs.Registry) {
 		Divergence: reg.Counter("drm_headroom_divergence_total",
 			"Verification passes that found the cache diverging from the log."),
 		CheckSeconds: reg.Histogram("drm_headroom_check_seconds",
-			"Wall time of one cached admission (check + decrement).", nil),
+			"Wall time of one cached admission (check + reservation).", nil),
 		Groups: reg.Gauge("drm_headroom_groups",
 			"Overlap groups tracked by the headroom cache."),
-		TableBytes: reg.Gauge("drm_headroom_table_bytes",
-			"Resident size of the dense slack tables."),
 	}
 }

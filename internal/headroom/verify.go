@@ -1,10 +1,11 @@
 // Verification: the audit-as-verifier inversion. With admission served
 // from the cache, batch audits stop being the gatekeeper and become the
 // invariant checker — after a clean audit the engine calls Verify, which
-// rebuilds the slack state from the issuance log and cross-checks every
-// cached count, table entry, and group minimum. Any mismatch means the
-// incremental maintenance drifted from ground truth and surfaces as a
-// KindHeadroomDivergence error plus drm_headroom_divergence_total.
+// rebuilds the cache from the issuance log and checks every cached count
+// and transfer total, and that the kept flow is feasible and maximum.
+// Any mismatch means the incremental maintenance drifted from ground
+// truth and surfaces as a KindHeadroomDivergence error plus
+// drm_headroom_divergence_total.
 
 package headroom
 
@@ -35,9 +36,11 @@ type VerifyResult struct {
 	Entries int `json:"entries"`
 }
 
-// Verify rebuilds a shadow cache from the log and compares it against
-// the live state: observed-set counts, dense slack tables (translated
-// across coordinate orderings), and group minimums. The cache is locked
+// Verify rebuilds a shadow cache from the log and checks the live state
+// against it: every observed set's count and transfer total, then the
+// kept flow — feasible (no set sends more than its count; each license's
+// load is what its sets send it, within its budget) and maximum (its
+// value is the shadow's, so the deficits agree). The cache is locked
 // exclusively for the duration, so a verified snapshot is consistent;
 // admissions queue behind it. Divergence returns a typed error matching
 // ErrDivergence.
@@ -62,15 +65,14 @@ func (c *Cache) verify(ctx context.Context, log logstore.Store) (VerifyResult, e
 		M.VerifySkipped.Inc()
 		return VerifyResult{Skipped: true, Pending: p}, nil
 	}
-	shadow, err := buildMaxSpan(ctx, c.grouping, c.aggs, log, c.maxSpanBits)
+	shadow, err := build(ctx, c.grouping, c.aggs, log)
 	if err != nil {
 		return VerifyResult{}, err
 	}
 	res := VerifyResult{Groups: len(c.groups)}
 	for k, g := range c.groups {
-		sg := shadow.groups[k]
 		g.mu.Lock()
-		err := c.verifyGroup(k, g, sg, &res)
+		err := c.verifyGroup(k, g, shadow.groups[k], &res)
 		g.mu.Unlock()
 		if err != nil {
 			M.Divergence.Inc()
@@ -81,20 +83,20 @@ func (c *Cache) verify(ctx context.Context, log logstore.Store) (VerifyResult, e
 	return res, nil
 }
 
-// verifyGroup compares one live group against its shadow. Caller holds
+// verifyGroup checks one live group against its shadow. Caller holds
 // c.mu and g.mu; sg is freshly built and unshared.
 func (c *Cache) verifyGroup(k int, g, sg *group, res *VerifyResult) error {
 	diverge := func(format string, args ...any) error {
 		return drmerr.New(drmerr.KindHeadroomDivergence, "headroom.verify",
 			"headroom: group %d diverges from log: "+format, append([]any{k}, args...)...)
 	}
-	if len(g.cnt) != len(sg.cnt) {
-		return diverge("%d cached observed sets, log has %d", len(g.cnt), len(sg.cnt))
+	if len(g.sets) != len(sg.sets) {
+		return diverge("%d cached observed sets, log has %d", len(g.sets), len(sg.sets))
 	}
-	for set, n := range sg.cnt {
+	for set, sn := range sg.sets {
 		res.Entries++
-		if got := g.cnt[set]; got != n {
-			return diverge("set %v cached count %d, log says %d", set, got, n)
+		if got := g.count(set); got != sn.cnt {
+			return diverge("set %v cached count %d, log says %d", set, got, sn.cnt)
 		}
 	}
 	if len(g.xfer) != len(sg.xfer) {
@@ -106,44 +108,38 @@ func (c *Cache) verifyGroup(k int, g, sg *group, res *VerifyResult) error {
 			return diverge("set %v cached transfer total %d, log says %d", set, got, n)
 		}
 	}
-	if g.span != sg.span {
-		return diverge("cached span %v, log implies %v", g.span, sg.span)
-	}
-	if g.dense != sg.dense {
-		return diverge("cached mode dense=%v, log implies dense=%v", g.dense, sg.dense)
-	}
-	if g.dense {
-		// Same span, possibly different coordinate orderings: compare by
-		// translating every shadow entry through the global mask.
-		if len(g.table) != len(sg.table) {
-			return diverge("table size %d, want %d", len(g.table), len(sg.table))
-		}
-		for t := 1; t < len(sg.table); t++ {
-			res.Entries++
-			global := sg.expand(bitset.Mask(t))
-			if got := g.table[g.spanCoord(global)]; got != sg.table[t] {
-				return diverge("slack for %v cached %d, recomputed %d", global, got, sg.table[t])
+	// Feasible: every flow is non-negative, each set sends what its
+	// flows sum to and at most its count, and each license passes on
+	// exactly what its sets send it, within its budget.
+	load := make([]int64, len(g.load))
+	var value int64
+	for set, n := range g.sets {
+		var out int64
+		for i, e := range set.Elems() {
+			if n.flow[i] < 0 {
+				return diverge("set %v sends %d to license %d", set, n.flow[i], e+1)
 			}
+			out += n.flow[i]
+			load[e] += n.flow[i]
 		}
-		if got, want := g.minSlack.Load(), sg.minSlack.Load(); got != want {
-			return diverge("min slack cached %d, recomputed %d", got, want)
+		if out != n.out || out > n.cnt {
+			return diverge("set %v sends %d (kept as %d) against count %d", set, out, n.out, n.cnt)
 		}
-	} else {
-		// Sparse minimums are exact when ≤ 0, which is all admission ever
-		// reads of them (the deficit term).
-		got, want := g.minSlack.Load(), sg.minSlack.Load()
-		if min64(0, got) != min64(0, want) {
-			return diverge("deficit cached %d, recomputed %d", min64(0, got), min64(0, want))
+		value += out
+	}
+	for _, e := range g.members.Elems() {
+		res.Entries++
+		if load[e] != g.load[e] || load[e] > c.aggs[e] {
+			return diverge("license %d load %d, its sets send %d against budget %d", e+1, g.load[e], load[e], c.aggs[e])
 		}
+	}
+	// Maximum: the value matches the shadow's fresh maximum flow, so the
+	// published deficit is the log's.
+	if value != sg.flow || g.flow != value || g.total != sg.total || g.deficit.Load() != sg.deficit.Load() {
+		return diverge("flow %d (kept as %d) of %d, deficit %d; log has flow %d of %d, deficit %d",
+			value, g.flow, g.total, g.deficit.Load(), sg.flow, sg.total, sg.deficit.Load())
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // GroupSummary is the per-group view the drmserver debug endpoint and
@@ -154,16 +150,11 @@ type GroupSummary struct {
 	Group   int    `json:"group"`
 	Members string `json:"members"`
 	Size    int    `json:"size"`
-	// Mode is "dense" (slack table over the observed span) or "sparse"
-	// (closure walk, span outgrew the table budget).
-	Mode string `json:"mode"`
-	// SpanBits and ObservedSets describe the pruning frontier; TableBytes
-	// is the dense table's resident size.
-	SpanBits     int   `json:"span_bits"`
-	ObservedSets int   `json:"observed_sets"`
-	TableBytes   int64 `json:"table_bytes"`
+	// ObservedSets counts the sets with a positive net count — the
+	// nodes of the group's flow network.
+	ObservedSets int `json:"observed_sets"`
 	// MinSlack is the group's tightest remaining slack (Unbounded when no
-	// equation is active yet); Deficit = min(0, MinSlack) is what other
+	// set is observed yet); Deficit = min(0, MinSlack) is what other
 	// groups' admissions subtract.
 	MinSlack  int64 `json:"min_slack"`
 	Unbounded bool  `json:"unbounded,omitempty"`
@@ -180,28 +171,36 @@ func (c *Cache) Summaries() []GroupSummary {
 	out := make([]GroupSummary, len(c.groups))
 	for k, g := range c.groups {
 		g.mu.Lock()
-		mode := "dense"
-		if !g.dense {
-			mode = "sparse"
-		}
-		ms := g.minSlack.Load()
-		s := GroupSummary{
+		ms := c.minSlack(g)
+		out[k] = GroupSummary{
 			Group:        k,
 			Members:      g.members.String(),
 			Size:         g.members.Len(),
-			Mode:         mode,
-			SpanBits:     len(g.spanElems),
-			ObservedSets: len(g.cnt),
-			TableBytes:   int64(8 * len(g.table)),
+			ObservedSets: len(g.sets),
 			MinSlack:     ms,
 			Unbounded:    ms == unbounded,
-			Deficit:      min64(0, ms),
+			Deficit:      g.deficit.Load(),
 			Rejections:   g.rejections.Load(),
 		}
 		g.mu.Unlock()
-		out[k] = s
 	}
 	return out
+}
+
+// minSlack returns the least slack of any non-empty equation in g — the
+// least local room of a license some observed set holds, since licenses
+// no set holds only add budget — or unbounded with no observed set.
+// Caller holds g.mu.
+func (c *Cache) minSlack(g *group) int64 {
+	best := unbounded
+	for _, e := range g.members.Elems() {
+		if len(g.users[e]) > 0 {
+			n, sent := c.reach(g, bitset.Mask(0).With(e))
+			best = min(best, sent+g.deficit.Load())
+			g.keep(n, sent, 0)
+		}
+	}
+	return best
 }
 
 // SampleSets returns up to max observed belongs-to sets spread across
@@ -213,7 +212,7 @@ func (c *Cache) SampleSets(max int) []bitset.Mask {
 	var all []bitset.Mask
 	for _, g := range c.groups {
 		g.mu.Lock()
-		for set := range g.cnt {
+		for set := range g.sets {
 			all = append(all, set)
 		}
 		g.mu.Unlock()
