@@ -18,7 +18,9 @@
 //	   (-workers bounds the shard budget; default: all CPUs)
 //
 // Beyond the figures, -recover benchmarks WAL crash recovery (full log
-// replay vs snapshot+tail) over decades of record counts:
+// replay of plain credits and of the lifecycle mix, vs snapshot+tail)
+// over decades of record counts, each time the median of five opens
+// with its cost per replayed frame:
 //
 //	drmbench -recover -recover-max 10000000
 //
@@ -90,7 +92,7 @@ func run(args []string, out io.Writer) error {
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0),
 			"worker budget for the fig 12 sharded runs (groups × intra-group mask shards)")
 		recoverMode = fs.Bool("recover", false,
-			"benchmark WAL recovery: full replay vs snapshot+tail over decades of record counts")
+			"benchmark WAL recovery: full replay (plain and lifecycle mix) vs snapshot+tail over decades of record counts")
 		recoverMax = fs.Int("recover-max", 1_000_000,
 			"largest record count in the -recover sweep (decades from 100k)")
 		issueMode = fs.Bool("issue", false,
@@ -332,7 +334,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("recover-max must be positive, got %d", *recoverMax)
 		}
 		if !csvOut {
-			fmt.Fprintln(out, "== Recovery: full WAL replay vs snapshot+tail ==")
+			fmt.Fprintln(out, "== Recovery: full WAL replay vs snapshot+tail (median of 5 opens) ==")
 		}
 		rows, err := benchRecover(*recoverMax)
 		if err != nil {

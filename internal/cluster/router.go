@@ -74,6 +74,7 @@ type Router struct {
 	mu      sync.RWMutex
 	state   map[string]*PeerStatus
 	proxies map[string]*httputil.ReverseProxy
+	buffers proxyBuffers // every proxy's response copy buffers
 
 	stop chan struct{}
 	done chan struct{}
@@ -113,6 +114,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.ring.Add(p)
 		rt.state[p] = &PeerStatus{Addr: p}
 		proxy := httputil.NewSingleHostReverseProxy(u)
+		proxy.BufferPool = &rt.buffers
 		peer := p
 		proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 			// Resolved lazily: Instrument may run after NewRouter.
@@ -126,6 +128,27 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.proxies[p] = proxy
 	}
 	return rt, nil
+}
+
+// proxyBufSize is the copy buffer httputil.ReverseProxy allocates for
+// every response it proxies when it has no BufferPool.
+const proxyBufSize = 32 << 10
+
+// proxyBuffers is the BufferPool a router's proxies share, so a
+// proxied response reuses a copy buffer instead of allocating one.
+type proxyBuffers struct{ pool sync.Pool }
+
+func (p *proxyBuffers) Get() []byte {
+	if b, ok := p.pool.Get().(*[proxyBufSize]byte); ok {
+		return b[:]
+	}
+	return make([]byte, proxyBufSize)
+}
+
+func (p *proxyBuffers) Put(b []byte) {
+	if len(b) == proxyBufSize {
+		p.pool.Put((*[proxyBufSize]byte)(b))
+	}
 }
 
 // KeyForPath extracts the routing key from a request path: catalog

@@ -48,7 +48,7 @@ func NewFold(l *Ledger) *Fold { return &Fold{led: l} }
 // records before r. Like Ledger.Observe, it assumes r passed Validate.
 func (f *Fold) Observe(r Record) error {
 	if r.Kind == KindIssue && r.Expiry == 0 {
-		f.credit(r.Set, r.Count)
+		f.Credit(r.Set, r.Count)
 		return nil
 	}
 	f.flushSet(r.Set)
@@ -90,8 +90,11 @@ func (f *Fold) flushSet(set bitset.Mask) {
 	}
 }
 
-// credit adds count to set's pending sum.
-func (f *Fold) credit(set bitset.Mask, count int64) {
+// Credit folds a plain credit of count to set: Observe of an issue
+// record with no expiry, for a caller that decoded one without building
+// the Record. Like Observe it assumes what Validate checks: set is not
+// empty and count is positive.
+func (f *Fold) Credit(set bitset.Mask, count int64) {
 	// Keep the load at most one half: every probe past the first costs
 	// a mispredicted branch, which on random sets outweighs the table's
 	// cache footprint.

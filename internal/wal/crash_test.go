@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -379,17 +381,17 @@ func boundaryRecords(n int) []logstore.Record {
 }
 
 // referenceReplay is recovery's verdict on one segment file, computed
-// the obvious way over the whole file in memory: parse frames from the
-// header on; at the first bad frame, a valid frame at any later byte
-// offset means mid-log corruption, and otherwise everything from the
-// bad frame on is a torn tail.
+// the obvious way over the whole file in memory with the reference
+// parser: parse frames from the header on; at the first bad frame, a
+// valid frame at any later byte offset means mid-log corruption, and
+// otherwise everything from the bad frame on is a torn tail.
 func referenceReplay(data []byte) (recs []logstore.Record, end int, corrupt bool) {
 	off := segmentHeaderSize
 	for off < len(data) {
-		rec, n, status := parseFrame(data[off:])
+		rec, n, status := referenceParseFrame(data[off:])
 		if status != frameOK {
 			for o := off + 1; o+recordFrameSize <= len(data); o++ {
-				if _, _, st := parseFrame(data[o:]); st == frameOK {
+				if _, _, st := referenceParseFrame(data[o:]); st == frameOK {
 					return recs, off, true
 				}
 			}
@@ -402,13 +404,17 @@ func referenceReplay(data []byte) (recs []logstore.Record, end int, corrupt bool
 }
 
 // refillEnds returns the file offsets at which the replay buffer's
-// contents end after each refill, replaying a segment whose frames have
-// the given sizes: the arithmetic of replaySegment's scan loop.
+// contents end after each refill, replaying a segment whose valid frames
+// have the given sizes and, if they end before the file does, stopping
+// at the bad frame after them: the arithmetic of scanFrames' loop.
 func refillEnds(size int64, frames []int) []int64 {
 	var ends []int64
 	read, buffered := int64(segmentHeaderSize), 0
 	for read < size {
 		for buffered >= ledgerFrameSize {
+			if len(frames) == 0 {
+				return ends
+			}
 			buffered -= frames[0]
 			frames = frames[1:]
 		}
@@ -418,6 +424,22 @@ func refillEnds(size int64, frames []int) []int64 {
 		ends = append(ends, read)
 	}
 	return ends
+}
+
+// readLog is a segment image read through io.ReaderAt, noting where
+// each read ends.
+type readLog struct {
+	data []byte
+	ends []int64
+}
+
+func (r *readLog) ReadAt(p []byte, off int64) (int, error) {
+	n := copy(p, r.data[off:])
+	r.ends = append(r.ends, off+int64(n))
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // segmentImage appends records to a fresh store and returns the bytes
@@ -442,77 +464,187 @@ func segmentImage(t *testing.T, records []logstore.Record) []byte {
 	return data
 }
 
+// checkRecovery opens a store whose one segment holds data and checks it
+// against referenceReplay, returning the reference records. A sound
+// reference must be recovered exactly: the same records (Seq and
+// ForEach), the same truncated size and RecoveryStats, and a scan that
+// refills where refillEnds says. Mid-log damage, and a CRC-valid debit
+// the ledger refuses, must be KindStoreCorrupt.
+func checkRecovery(t *testing.T, label string, data []byte) []logstore.Record {
+	t.Helper()
+	want, end, corrupt := referenceReplay(data)
+	led := &logstore.Ledger{}
+	unsound := led.ObserveAll(want) != nil
+	if !unsound {
+		sizes := make([]int, len(want))
+		for i, r := range want {
+			sizes[i] = int(frameSize(r))
+		}
+		rl := &readLog{data: data}
+		fold := logstore.NewFold(&logstore.Ledger{})
+		scanEnd, frames, err := scanFrames(rl, segmentHeaderSize, int64(len(data)), fold, make([]byte, replayBufSize))
+		if err != nil || scanEnd != int64(end) || frames != uint64(len(want)) {
+			t.Fatalf("%s: scanFrames = %d, %d frames, %v; want %d, %d frames", label, scanEnd, frames, err, end, len(want))
+		}
+		if wantEnds := refillEnds(int64(len(data)), sizes); !slices.Equal(rl.ends, wantEnds) {
+			t.Fatalf("%s: the scan's reads end at %v, want %v", label, rl.ends, wantEnds)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(segmentPath(dir, 1), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{Fsync: FsyncOS})
+	if corrupt || unsound {
+		if !errors.Is(err, drmerr.ErrStoreCorrupt) {
+			t.Fatalf("%s: mid-log damage or unsound ledger: err = %v, want store corrupt", label, err)
+		}
+		return want
+	}
+	if err != nil {
+		t.Fatalf("%s: recovery failed: %v", label, err)
+	}
+	defer s.Close()
+	if got := s.Seq(); got != uint64(len(want)) {
+		t.Fatalf("%s: Seq = %d, want %d", label, got, len(want))
+	}
+	fi, err := os.Stat(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(end) {
+		t.Fatalf("%s: segment size %d after recovery, want %d", label, fi.Size(), end)
+	}
+	st := s.RecoveryStats()
+	st.Duration = 0
+	if wantSt := (RecoveryStats{TailRecords: len(want), SegmentsScanned: 1, TruncatedBytes: int64(len(data) - end)}); st != wantSt {
+		t.Fatalf("%s: RecoveryStats = %+v, want %+v", label, st, wantSt)
+	}
+	if got := collect(t, s); !slices.Equal(got, led.Canonical()) {
+		t.Fatalf("%s: ForEach differs from the compacted reference prefix", label)
+	}
+	return want
+}
+
+// creditRecords builds a log that is nearly all plain credits: runs of
+// 1,000 to 4,999 v1 frames, most longer than a replay buffer holds,
+// each followed by one v2 frame (a TTL issue, a revoke of the run's
+// last set, or a transfer) that shifts the frames' alignment to the
+// refills.
+func creditRecords(n int) []logstore.Record {
+	sets := benchSets()
+	rng := rand.New(rand.NewSource(2))
+	out := make([]logstore.Record, 0, n)
+	for len(out) < n {
+		for range 1000 + rng.Intn(4000) {
+			out = append(out, logstore.Record{Set: sets[rng.Intn(len(sets))], Count: int64(1 + rng.Intn(9))})
+		}
+		last := out[len(out)-1]
+		switch rng.Intn(3) {
+		case 0:
+			out = append(out, logstore.Record{Set: last.Set, Count: 2, Meta: logstore.Meta{Expiry: 7000}})
+		case 1:
+			out = append(out, logstore.Record{Kind: logstore.KindRevoke, Set: last.Set, Count: 1})
+		default:
+			out = append(out, logstore.Record{Kind: logstore.KindTransfer, Set: last.Set, Count: 3})
+		}
+	}
+	return out[:n]
+}
+
+// plantRecordFrame overwrites the v1 frame at off with one holding set
+// and count under a valid CRC.
+func plantRecordFrame(data []byte, off int, set uint64, count int64) []byte {
+	out := slices.Clone(data)
+	copy(out[off:], sealedRecordFrame(set, count))
+	return out
+}
+
 // TestCrashRecoveryBufferBoundaries sweeps torn tails and bit flips
 // across the replay buffer's refills, which the small-segment sweeps
-// above never reach. A log of mixed v1 and v2 frames spanning more than
-// three buffers is cut, and separately has one byte flipped, at every
-// offset within one frame of each refill boundary; it is also damaged
-// over more than a buffer's length, and recovered whole at every
-// alignment of its frames to the refills. Each recovery must agree with
-// referenceReplay: the same records (Seq and ForEach), the same
-// truncated size and RecoveryStats, and KindStoreCorrupt for every
-// mid-log flip.
+// above never reach, and checks every recovery with checkRecovery. Two
+// logs are cut, and separately have one byte flipped, at every offset
+// within one frame of each refill boundary: one of mixed v1 and v2
+// frames, whose v1 runs are at most two frames long, and one of runs
+// of plain credits longer than a buffer, which recovery's v1 loop
+// folds. The plain-credit log is also recovered with CRC-valid v1
+// frames that Validate refuses planted at the start, middle and end of
+// a run, on each side of each refill, and as its last frame. The mixed
+// log is also damaged over more than a buffer's length, and recovered
+// whole at every alignment of its frames to the refills.
 func TestCrashRecoveryBufferBoundaries(t *testing.T) {
 	check := func(label string, records []logstore.Record, data []byte) {
 		t.Helper()
-		want, end, corrupt := referenceReplay(data)
-		dir := t.TempDir()
-		if err := os.WriteFile(segmentPath(dir, 1), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(dir, Options{Fsync: FsyncOS})
-		if corrupt {
-			if !errors.Is(err, drmerr.ErrStoreCorrupt) {
-				t.Fatalf("%s: mid-log damage: err = %v, want store corrupt", label, err)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("%s: recovery failed: %v", label, err)
-		}
-		defer s.Close()
-		if got := s.Seq(); got != uint64(len(want)) {
-			t.Fatalf("%s: Seq = %d, want %d", label, got, len(want))
-		}
-		if !slices.Equal(want, records[:len(want)]) {
+		if want := checkRecovery(t, label, data); !slices.Equal(want, records[:len(want)]) {
 			t.Fatalf("%s: reference walk is not a prefix of the log", label)
 		}
-		fi, err := os.Stat(segmentPath(dir, 1))
-		if err != nil {
-			t.Fatal(err)
+	}
+	sweep := func(name string, records []logstore.Record) (orig []byte, offsets []int, ends []int64) {
+		t.Helper()
+		orig = segmentImage(t, records)
+		offsets = make([]int, len(records)+1)
+		frames := make([]int, len(records))
+		offsets[0] = segmentHeaderSize
+		for i, r := range records {
+			frames[i] = int(frameSize(r))
+			offsets[i+1] = offsets[i] + frames[i]
 		}
-		if fi.Size() != int64(end) {
-			t.Fatalf("%s: segment size %d after recovery, want %d", label, fi.Size(), end)
+		ends = refillEnds(int64(len(orig)), frames)
+		if len(ends) < 4 {
+			t.Fatalf("%s log of %d bytes fills %d replay buffers, want more than 3", name, len(orig), len(ends))
 		}
-		st := s.RecoveryStats()
-		st.Duration = 0
-		if wantSt := (RecoveryStats{TailRecords: len(want), SegmentsScanned: 1, TruncatedBytes: int64(len(data) - end)}); st != wantSt {
-			t.Fatalf("%s: RecoveryStats = %+v, want %+v", label, st, wantSt)
+		check(name+" whole", records, orig)
+		for _, b := range ends[:len(ends)-1] {
+			for c := b - ledgerFrameSize; c <= b+ledgerFrameSize; c++ {
+				check(fmt.Sprintf("%s cut at %d (refill end %d)", name, c, b), records, orig[:c])
+				flipped := slices.Clone(orig)
+				flipped[c] ^= 0xff
+				check(fmt.Sprintf("%s flip at %d (refill end %d)", name, c, b), records, flipped)
+			}
 		}
-		if got := collect(t, s); !slices.Equal(got, logstore.Compact(want)) {
-			t.Fatalf("%s: ForEach differs from the compacted reference prefix", label)
+		return orig, offsets, ends
+	}
+
+	credits := creditRecords(9000)
+	orig, offsets, ends := sweep("credits", credits)
+	// Frame indexes to plant at: the first, a middle and the last v1
+	// frame of each run, and the frames ending just before and starting
+	// just after each refill, skipping v2 frames.
+	var plant []int
+	for i, r := range credits {
+		if frameSize(r) != recordFrameSize {
+			continue
+		}
+		runStart := i == 0 || frameSize(credits[i-1]) != recordFrameSize
+		runEnd := i == len(credits)-1 || frameSize(credits[i+1]) != recordFrameSize
+		if runStart || runEnd || i%2500 == 1250 {
+			plant = append(plant, i)
+		}
+	}
+	for _, b := range ends[:len(ends)-1] {
+		i, _ := slices.BinarySearch(offsets, int(b))
+		for _, j := range []int{i - 2, i - 1, i, i + 1} {
+			if j >= 0 && j < len(credits) && frameSize(credits[j]) == recordFrameSize {
+				plant = append(plant, j)
+			}
+		}
+	}
+	for _, i := range plant {
+		set := uint64(credits[i].Set)
+		for _, bad := range []struct {
+			name  string
+			set   uint64
+			count int64
+		}{{"empty set", 0, credits[i].Count}, {"zero count", set, 0}, {"negative count", set, -credits[i].Count}} {
+			label := fmt.Sprintf("%s planted in frame %d at %d", bad.name, i, offsets[i])
+			check(label, credits, plantRecordFrame(orig, offsets[i], bad.set, bad.count))
+			// The same frame as the log's last: debris of a torn append.
+			check(label+", log cut after it", credits, plantRecordFrame(orig, offsets[i], bad.set, bad.count)[:offsets[i+1]])
 		}
 	}
 
 	records := boundaryRecords(7500)
-	orig := segmentImage(t, records)
-	frames := make([]int, len(records))
-	for i, r := range records {
-		frames[i] = int(frameSize(r))
-	}
-	ends := refillEnds(int64(len(orig)), frames)
-	if len(ends) < 4 {
-		t.Fatalf("log of %d bytes fills %d replay buffers, want more than 3", len(orig), len(ends))
-	}
-	for _, b := range ends[:len(ends)-1] {
-		for c := b - ledgerFrameSize; c <= b+ledgerFrameSize; c++ {
-			check(fmt.Sprintf("cut at %d (refill end %d)", c, b), records, orig[:c])
-			flipped := slices.Clone(orig)
-			flipped[c] ^= 0xff
-			check(fmt.Sprintf("flip at %d (refill end %d)", c, b), records, flipped)
-		}
-	}
-
+	orig, _, _ = sweep("mixed", records)
 	// Damage longer than the buffer: the next valid frame lies more than
 	// one read of the bad-frame scan away.
 	wiped := slices.Clone(orig)

@@ -153,3 +153,43 @@ func FuzzIngestFrames(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRecoverSegment recovers a store whose one segment is a valid
+// header followed by arbitrary bytes, and checks it against
+// referenceReplay with checkRecovery, as the boundary test does. The
+// seeds are runs of plain credits longer than a replay buffer, with a
+// v2 frame in the first buffer that moves where the second refill ends, a mixed log, and both with damage
+// planted: CRC-valid v1 frames Validate refuses at a run's start,
+// middle and end, a flipped byte, and a torn tail.
+func FuzzRecoverSegment(f *testing.F) {
+	frames := func(recs []logstore.Record) []byte {
+		var b []byte
+		for _, r := range recs {
+			b = appendFrame(b, r)
+		}
+		return b
+	}
+	credits := creditRecords(6000) // three replay buffers
+	credits[100] = logstore.Record{Set: credits[99].Set, Count: 1, Meta: logstore.Meta{Expiry: 7000}}
+	long := frames(credits)
+	mixed := frames(boundaryRecords(60))
+	f.Add(long)
+	f.Add(mixed)
+	// Runs of v1 frames end at 99 and 3785 and start at 0, 101 and 3787.
+	for _, i := range []int{0, 99, 101, 2000, 3785, len(credits) - 1} {
+		at := len(frames(credits[:i]))
+		for _, bad := range [][]byte{sealedRecordFrame(0, 5), sealedRecordFrame(3, 0), sealedRecordFrame(3, -5)} {
+			planted := slices.Clone(long)
+			copy(planted[at:], bad)
+			f.Add(planted)
+		}
+	}
+	flipped := slices.Clone(mixed)
+	flipped[len(mixed)/2] ^= 0x40
+	f.Add(flipped)
+	f.Add(mixed[:len(mixed)-5])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkRecovery(t, "fuzzed segment", append(encodeSegmentHeader(0), body...))
+	})
+}

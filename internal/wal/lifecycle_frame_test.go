@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -225,9 +226,12 @@ func segDir(path string) string {
 	return path[:len(path)-len("/"+segmentName(1))]
 }
 
-// FuzzParseFrame hammers the frame parser with arbitrary bytes: it must
-// never panic, and every accepted frame must decode to a record that
-// passes logstore validation with a plausible consumed length.
+// FuzzParseFrame hammers the frame parser with arbitrary bytes. Its
+// verdict must be referenceParseFrame's, CRC through hash/crc32
+// included, and every frame it accepts must re-encode through
+// appendFrame to exactly the bytes it consumed. The seeds past the
+// lifecycle frames are v1 frames that a CRC check alone would pass:
+// an empty set, a zero and a negative count, and a v2 plain issue.
 func FuzzParseFrame(f *testing.F) {
 	var valid []byte
 	for _, r := range lifecycleRecords() {
@@ -237,22 +241,25 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{16, 0, 0, 0})
 	f.Add([]byte{25, 0, 0, 0, 1, 2, 3, 4, 9})
+	for _, set := range []uint64{0, 3} {
+		for _, count := range []int64{7, 0, -7} {
+			f.Add(sealedRecordFrame(set, count))
+		}
+	}
+	plainV2 := appendFrame(nil, logstore.Record{Set: 3, Count: 7, Meta: logstore.Meta{Expiry: 1}})
+	clear(plainV2[frameHeaderSize+17:])
+	binary.LittleEndian.PutUint32(plainV2[4:8], crc32.Checksum(plainV2[frameHeaderSize:], referenceCastagnoli))
+	f.Add(plainV2)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, status := parseFrame(b)
-		switch status {
-		case frameOK:
-			if n != recordFrameSize && n != ledgerFrameSize {
-				t.Fatalf("accepted frame consumed %d bytes", n)
+		wantRec, wantN, wantStatus := referenceParseFrame(b)
+		if status != wantStatus || n != wantN || rec != wantRec {
+			t.Fatalf("parseFrame = %+v, %d, %d; reference = %+v, %d, %d", rec, n, status, wantRec, wantN, wantStatus)
+		}
+		if status == frameOK {
+			if again := appendFrame(nil, rec); !bytes.Equal(again, b[:n]) {
+				t.Fatalf("accepted frame % x re-encodes as % x", b[:n], again)
 			}
-			if err := rec.Validate(); err != nil {
-				t.Fatalf("accepted invalid record %+v: %v", rec, err)
-			}
-		case frameShort, frameCorrupt:
-			if n != 0 {
-				t.Fatalf("rejected frame consumed %d bytes", n)
-			}
-		default:
-			t.Fatalf("unknown frame status %d", status)
 		}
 	})
 }

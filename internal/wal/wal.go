@@ -28,10 +28,11 @@
 //     watermark.
 //   - Recovery scans frames in place from one bounded buffer, verifies
 //     checksums, and folds the records into the ledger through
-//     logstore.Fold, which sums plain credits per set; it truncates a torn
-//     tail (the suffix a crashed append leaves), and surfaces mid-log
-//     corruption — a bad frame with valid frames after it — as a typed
-//     drmerr.KindStoreCorrupt error instead of guessing.
+//     logstore.Fold, which sums plain credits per set; a run of v1
+//     (plain-credit) frames is verified and folded in one tight loop. It
+//     truncates a torn tail (the suffix a crashed append leaves), and
+//     surfaces mid-log corruption — a bad frame with valid frames after
+//     it — as a typed drmerr.KindStoreCorrupt error instead of guessing.
 //   - Compaction retires segments wholly covered by the snapshot in the
 //     background, without closing the store.
 //
@@ -393,57 +394,109 @@ func (s *Store) replaySegment(idx uint64, startOff int64, first bool, doc *snaps
 	}
 	// Read only from the replay start: below a snapshot watermark the bytes
 	// are already aggregated into the snapshot, and skipping them is what
-	// makes snapshot+tail recovery O(tail) instead of O(segment). Frames
-	// are parsed in place from buf[lo:hi], which holds the file bytes from
-	// off to read; a frame split by a refill moves to the front of buf
-	// first. Only the ledger keeps what they add.
-	off, read := startOff, startOff
+	// makes snapshot+tail recovery O(tail) instead of O(segment).
+	off, frames, err := scanFrames(f, startOff, size, fold, buf)
+	s.seq += frames
+	if err != nil {
+		if drmerr.KindOf(err) == drmerr.KindStoreCorrupt {
+			return err
+		}
+		return fmt.Errorf("wal: reading segment %d: %w", idx, err)
+	}
+	if off < size {
+		torn, err := tornTail(f, off+1, size, last, buf)
+		if err != nil {
+			return fmt.Errorf("wal: reading segment %d: %w", idx, err)
+		}
+		if !torn {
+			return corrupt(off, "invalid frame with valid frames after it (mid-log corruption)")
+		}
+		// Torn tail: everything from off on is the debris of an append
+		// that never completed. Truncate it away, durably.
+		s.rec.TruncatedBytes += size - off
+		if err := truncateSegment(path, off); err != nil {
+			return err
+		}
+	}
+	s.segIdx = idx
+	s.size = off
+	return nil
+}
+
+// scanFrames folds the frames of f from off up to size into fold, and
+// returns where the first frame that does not parse starts (size if all
+// of them do) and how many frames it folded. A sequence the fold
+// refuses is a KindStoreCorrupt error.
+//
+// Frames are parsed in place from buf[lo:hi], which holds the file bytes
+// from off to read; a frame split by a refill moves to the front of buf
+// first, so the scan holds len(buf) bytes of log however large the
+// segment. Runs of v1 frames, nearly all of a long-lived log, go through
+// foldRecordRun, which stops at the same buffer fill as this loop, so
+// the scan refills at the same offsets whatever the mix of frames.
+func scanFrames(f io.ReaderAt, off, size int64, fold *logstore.Fold, buf []byte) (end int64, frames uint64, err error) {
+	read := off
 	lo, hi := 0, 0
-scan:
 	for {
 		// A frame is never longer than ledgerFrameSize, so while that
 		// many bytes are buffered (or the file has no more) a parse that
 		// fails is the frame's own fault, not the buffer's.
 		for hi-lo >= ledgerFrameSize || (read == size && lo < hi) {
+			if n := foldRecordRun(buf[lo:hi], read == size, fold); n > 0 {
+				frames += uint64(n / recordFrameSize)
+				lo += n
+				off += int64(n)
+				continue
+			}
 			rec, n, status := parseFrame(buf[lo:hi])
 			if status != frameOK {
-				torn, err := tornTail(f, off+1, size, last, buf)
-				if err != nil {
-					return fmt.Errorf("wal: reading segment %d: %w", idx, err)
-				}
-				if !torn {
-					return corrupt(off, "invalid frame with valid frames after it (mid-log corruption)")
-				}
-				// Torn tail: everything from off on is the debris of an
-				// append that never completed. Truncate it away, durably.
-				s.rec.TruncatedBytes += size - off
-				if err := truncateSegment(path, off); err != nil {
-					return err
-				}
-				break scan
+				return off, frames, nil
 			}
 			if err := fold.Observe(rec); err != nil {
-				return drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
+				return off, frames, drmerr.Wrap(drmerr.KindStoreCorrupt, "wal.open", err)
 			}
-			s.seq++
+			frames++
 			lo += n
 			off += int64(n)
 		}
 		if read == size {
-			break
+			return off, frames, nil
 		}
 		hi = copy(buf, buf[lo:hi])
 		lo = 0
 		n := int(min(int64(len(buf)-hi), size-read))
 		if m, err := f.ReadAt(buf[hi:hi+n], read); m < n {
-			return fmt.Errorf("wal: reading segment %d: %w", idx, cmp.Or(err, io.ErrUnexpectedEOF))
+			return off, frames, cmp.Or(err, io.ErrUnexpectedEOF)
 		}
 		hi += n
 		read += int64(n)
 	}
-	s.segIdx = idx
-	s.size = off
-	return nil
+}
+
+// foldRecordRun verifies and folds the run of v1 frames at the start of
+// b, returning the bytes it consumed. It takes a frame only while
+// ledgerFrameSize bytes are buffered, or, at the end of the file, while
+// the whole frame is, which is the scan loop's own condition for
+// parsing; the first frame that is not a whole, valid v1 frame ends the
+// run and is left to parseFrame. Each frame gets the checks parseFrame
+// gives it: its length prefix, its CRC32C, and Validate's demands of a
+// v1 record. Folding a plain credit cannot fail, so no frame needs a
+// Record or a call to Observe.
+func foldRecordRun(b []byte, eof bool, fold *logstore.Fold) int {
+	keep := ledgerFrameSize
+	if eof {
+		keep = recordFrameSize
+	}
+	n := 0
+	for len(b)-n >= keep {
+		set, count, ok := decodeRecordFrame((*[recordFrameSize]byte)(b[n:]))
+		if !ok {
+			break
+		}
+		fold.Credit(set, count)
+		n += recordFrameSize
+	}
+	return n
 }
 
 // tornTail reports whether damage in a segment is a torn tail: the
