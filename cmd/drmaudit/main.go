@@ -6,15 +6,16 @@
 //
 //	drmaudit -corpus corpus.json -log log.jsonl [-workers 4] [-compare]
 //	drmaudit -corpus corpus.json -log issued.wal            # WAL directory
-//	drmaudit -corpus corpus.json -log log.jsonl -repair      # fix a torn tail
 //	drmaudit -corpus corpus.json -log log.jsonl -migrate-wal issued.wal
 //	drmaudit -corpus corpus.json -log log.jsonl -trace out.json  # Perfetto trace
 //
-// The issuance log may be a JSONL file or a WAL directory (internal/wal);
-// -log-backend auto (the default) tells them apart by whether -log is a
-// directory. -repair truncates a torn JSONL tail (a WAL repairs its own
-// tail during recovery). -migrate-wal converts the log into a fresh WAL
-// store, snapshot included, after the audit passes over it.
+// The issuance log is a WAL directory (internal/wal) when -log is a
+// directory, and a JSONL file otherwise. A WAL repairs its own torn tail
+// during recovery; a JSONL file that fails to decode is reported with
+// the byte offset of the bad record. -migrate-wal converts the log into
+// a fresh WAL store, snapshot included, after the audit passes over it:
+// it is how a JSONL log becomes one drmserver can open. -compact
+// snapshots a WAL and retires the segments the snapshot covers.
 //
 // It prints the grouping, the theoretical gain, per-stage timings, and any
 // violated validation equations. -workers (default: all CPUs) bounds the
@@ -82,12 +83,8 @@ func run(args []string, out io.Writer) (int, error) {
 		statsPath   = fs.String("stats", "", "write the typed AuditStats record (JSON) to this path")
 		signed      = fs.Bool("signed", false, "treat -corpus as an Ed25519-signed document and verify it")
 		issuerKey   = fs.String("issuer", "", "pinned issuer public key (base64; with -signed)")
-		compactLog  = fs.Bool("compact", false, "compact the log in place after reading it (JSONL rewrite, or WAL snapshot + segment retirement)")
-		logBackend  = fs.String("log-backend", "auto",
-			"issuance log backend: auto (directory = wal, file = jsonl), jsonl, or wal")
-		repairLog = fs.Bool("repair", false,
-			"truncate a torn JSONL tail before reading (WAL recovery repairs its own tail)")
-		migrateWAL = fs.String("migrate-wal", "",
+		compactLog  = fs.Bool("compact", false, "compact a WAL log after reading it: snapshot + segment retirement")
+		migrateWAL  = fs.String("migrate-wal", "",
 			"after the audit, migrate the log records into a fresh WAL store at this directory and snapshot it")
 		timeout = fs.Duration("timeout", 0,
 			"audit deadline (0 = none); an expired deadline prints the verified-so-far report, per-group completeness, and exits 3")
@@ -145,18 +142,10 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 
-	isWAL, err := detectWAL(*logPath, *logBackend)
-	if err != nil {
-		return 0, err
-	}
-	if *repairLog && !isWAL {
-		removed, err := logstore.RepairFile(*logPath)
-		if err != nil {
-			return 0, err
-		}
-		if removed > 0 {
-			fmt.Fprintf(out, "repaired:    %s: truncated %d torn-tail bytes\n", *logPath, removed)
-		}
+	fi, err := os.Stat(*logPath)
+	isWAL := err == nil && fi.IsDir()
+	if *compactLog && !isWAL {
+		return 0, fmt.Errorf("-compact needs a WAL directory, and %s is not one (convert a JSONL log with -migrate-wal)", *logPath)
 	}
 	log := logstore.NewMem(0)
 	if isWAL {
@@ -328,27 +317,19 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 
 	if *compactLog {
-		if isWAL {
-			ws, err := wal.Open(*logPath, wal.Options{})
-			if err != nil {
-				return 0, err
-			}
-			info, err := ws.Snapshot()
-			if cerr := ws.Close(); err == nil { // Close waits for segment retirement
-				err = cerr
-			}
-			if err != nil {
-				return 0, err
-			}
-			fmt.Fprintf(out, "compacted:   %s: snapshot of %d records at seq %d\n",
-				*logPath, info.Records, info.Seq)
-		} else {
-			before, after, err := logstore.CompactFile(*logPath)
-			if err != nil {
-				return 0, err
-			}
-			fmt.Fprintf(out, "compacted:   %s: %d -> %d records\n", *logPath, before, after)
+		ws, err := wal.Open(*logPath, wal.Options{})
+		if err != nil {
+			return 0, err
 		}
+		info, err := ws.Snapshot()
+		if cerr := ws.Close(); err == nil { // Close waits for segment retirement
+			err = cerr
+		}
+		if err != nil {
+			return 0, err
+		}
+		fmt.Fprintf(out, "compacted:   %s: snapshot of %d records at seq %d\n",
+			*logPath, info.Records, info.Seq)
 	}
 
 	if *migrateWAL != "" {
@@ -410,25 +391,6 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 	return 2, nil
-}
-
-// detectWAL resolves the -log-backend flag against what exists at path:
-// "auto" answers wal exactly when path is a directory.
-func detectWAL(path, backend string) (bool, error) {
-	switch backend {
-	case "jsonl":
-		return false, nil
-	case "wal":
-		return true, nil
-	case "auto":
-		fi, err := os.Stat(path)
-		if err == nil && fi.IsDir() {
-			return true, nil
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("unknown log backend %q (want auto, jsonl, or wal)", backend)
-	}
 }
 
 // migrateToWAL writes the in-memory log into a fresh WAL store at dir and

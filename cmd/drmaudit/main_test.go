@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/drmerr"
 	"repro/internal/license"
 	"repro/internal/logstore"
 	"repro/internal/signature"
@@ -133,6 +135,22 @@ func TestAuditErrors(t *testing.T) {
 	if _, err := run([]string{"-badflag"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// A torn JSONL tail fails the audit with the bad record's location.
+	corpus, logPath := writeExample1(t, t.TempDir(), 0)
+	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("{\"set\":3,\"cou")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run([]string{"-corpus", corpus, "-log", logPath}, &out); !errors.Is(err, drmerr.ErrStoreCorrupt) ||
+		!strings.Contains(err.Error(), "byte offset") {
+		t.Errorf("torn log: err = %v, want store corrupt naming the byte offset", err)
+	}
 }
 
 func TestAuditCapacityReport(t *testing.T) {
@@ -187,29 +205,21 @@ func TestAuditJSONOutput(t *testing.T) {
 	}
 }
 
-func TestAuditCompactsLog(t *testing.T) {
-	dir := t.TempDir()
-	corpus, logPath := writeExample1(t, dir, 0)
+// TestAuditCompactRefusesJSONL: -compact only snapshots a WAL; on a
+// JSONL file it is refused and the file keeps its bytes.
+func TestAuditCompactRefusesJSONL(t *testing.T) {
+	corpus, logPath := writeExample1(t, t.TempDir(), 0)
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
-	if _, err := run([]string{"-corpus", corpus, "-log", logPath, "-compact"}, &out); err != nil {
-		t.Fatal(err)
+	if _, err := run([]string{"-corpus", corpus, "-log", logPath, "-compact"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "-migrate-wal") {
+		t.Errorf("-compact on a JSONL file: err = %v, want a refusal naming -migrate-wal", err)
 	}
-	if !strings.Contains(out.String(), "compacted:") {
-		t.Errorf("output = %q", out.String())
-	}
-	// Table 2 has 6 records over 5 distinct sets.
-	n := 0
-	if err := logstore.ReadFile(logPath, func(logstore.Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Errorf("compacted records = %d, want 5", n)
-	}
-	// Re-audit of the compacted log gives the same verdict.
-	out.Reset()
-	code, err := run([]string{"-corpus", corpus, "-log", logPath}, &out)
-	if err != nil || code != 0 {
-		t.Errorf("re-audit = %d, %v", code, err)
+	if after, _ := os.ReadFile(logPath); !bytes.Equal(after, before) {
+		t.Error("refused -compact modified the log")
 	}
 }
 

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
-	"os"
+	"encoding/json"
+	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,52 +104,29 @@ func TestAuditMigratePreservesViolations(t *testing.T) {
 	dir := t.TempDir()
 	corpus, logPath := writeExample1(t, dir, 700) // over-issues {L2}
 	walDir := filepath.Join(dir, "issued.wal")
-	var out bytes.Buffer
-	code, err := run([]string{"-corpus", corpus, "-log", logPath, "-migrate-wal", walDir}, &out)
-	if err != nil {
+	if _, err := run([]string{"-corpus", corpus, "-log", logPath, "-migrate-wal", walDir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if code != 2 {
-		t.Fatalf("JSONL audit exit code = %d, want 2\n%s", code, out.String())
+	// The migrated log audits identically to its JSONL source.
+	audit := func(log string) jsonReport {
+		var out bytes.Buffer
+		code, err := run([]string{"-corpus", corpus, "-log", log, "-json"}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 2 {
+			t.Fatalf("%s: exit code = %d, want 2\n%s", log, code, out.String())
+		}
+		var doc jsonReport
+		if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
 	}
-	out.Reset()
-	code, err = run([]string{"-corpus", corpus, "-log", walDir}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 2 {
-		t.Fatalf("WAL audit exit code = %d, want 2 (violation lost in migration)\n%s", code, out.String())
-	}
-}
-
-func TestAuditRepairFlag(t *testing.T) {
-	dir := t.TempDir()
-	corpus, logPath := writeExample1(t, dir, 0)
-	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("{\"set\":3,\"cou")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Without -repair the torn tail is a typed failure.
-	var out bytes.Buffer
-	if _, err := run([]string{"-corpus", corpus, "-log", logPath}, &out); err == nil {
-		t.Fatal("audit over torn log succeeded without -repair")
-	}
-	// With -repair the tail is truncated and the audit proceeds.
-	out.Reset()
-	code, err := run([]string{"-corpus", corpus, "-log", logPath, "-repair"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "repaired:") {
-		t.Errorf("output missing repair line:\n%s", out.String())
+	src, migrated := audit(logPath), audit(walDir)
+	if migrated.Equations != src.Equations || !slices.Equal(migrated.Violations, src.Violations) {
+		t.Errorf("WAL audit: %d equations, violations %q\nJSONL source: %d equations, violations %q",
+			migrated.Equations, migrated.Violations, src.Equations, src.Violations)
 	}
 }
 

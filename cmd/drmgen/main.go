@@ -7,7 +7,8 @@
 //	drmgen -n 20 -groups 4 -seed 7 -corpus corpus.json -log log.jsonl
 //
 // The corpus is a self-describing JSON document; the log is JSON lines of
-// {set, count} records whose set masks refer to corpus indexes.
+// {set, count} records whose set masks refer to corpus indexes. drmserver
+// serves the log once drmaudit -migrate-wal has converted it to a WAL.
 package main
 
 import (

@@ -49,9 +49,7 @@ func newCatalogServer(cat *catalog.Catalog, workers int) *catalogServer {
 		defer s.mu.RUnlock()
 		var total int64
 		for _, e := range s.cat.Entries() {
-			if w := e.WAL(); w != nil {
-				total += w.Backlog()
-			}
+			total += e.Log.Backlog()
 		}
 		return total
 	}
@@ -84,8 +82,7 @@ type snapshotAllEntry struct {
 	Seq        uint64 `json:"seq"`
 }
 
-// handleSnapshotAll checkpoints every WAL-backed entry. JSONL entries are
-// skipped (an all-JSONL catalog answers with an empty list).
+// handleSnapshotAll checkpoints every entry's log.
 func (s *catalogServer) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	infos, err := s.cat.SnapshotAll()
@@ -129,7 +126,7 @@ func (s *catalogServer) entry(h func(corpusAPI, http.ResponseWriter, *http.Reque
 				"no corpus for (%s, %s)", content, perm))
 			return
 		}
-		api := corpusAPI{mu: &s.mu, corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.WAL()}
+		api := corpusAPI{mu: &s.mu, corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.Log}
 		t := s.obs.slo.Entry(content + "/" + string(perm))
 		entryObserved(t, func(w http.ResponseWriter, r *http.Request) { h(api, w, r) })(w, r)
 	}

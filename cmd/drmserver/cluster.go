@@ -2,7 +2,7 @@
 //
 //   - standalone (default): exactly the pre-cluster behaviour;
 //   - leader: standalone plus the replication endpoints (/v1/repl/wal,
-//     /v1/repl/snapshot) any WAL-backed single-corpus server can serve;
+//     /v1/repl/snapshot) any single-corpus server can serve;
 //   - follower: a read-only replica tailing -leader's WAL into its own
 //     -log directory through the ordinary recovery path, keeping stats
 //     and the headroom cache warm via engine.ApplyReplicated, serving
@@ -74,8 +74,7 @@ func (s *server) entry(h func(corpusAPI, http.ResponseWriter, *http.Request)) ht
 	}
 }
 
-// leaderFor returns the current replication serving side (nil when the
-// log is not WAL-backed).
+// leaderFor returns the current replication serving side.
 func (s *server) leaderFor() *cluster.Leader {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
@@ -83,23 +82,11 @@ func (s *server) leaderFor() *cluster.Leader {
 }
 
 func (s *server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
-	l := s.leaderFor()
-	if l == nil {
-		clientError(r.Context(), w, http.StatusConflict,
-			"issuance log backend cannot ship WAL frames (run with -log-backend wal)")
-		return
-	}
-	l.HandleWAL(w, r)
+	s.leaderFor().HandleWAL(w, r)
 }
 
 func (s *server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	l := s.leaderFor()
-	if l == nil {
-		clientError(r.Context(), w, http.StatusConflict,
-			"issuance log backend cannot ship snapshots (run with -log-backend wal)")
-		return
-	}
-	l.HandleSnapshot(w, r)
+	s.leaderFor().HandleSnapshot(w, r)
 }
 
 // roleInfo composes this server's role-probe body.
@@ -107,11 +94,11 @@ func (s *server) roleInfo() cluster.RoleInfo {
 	if s.follower != nil {
 		return s.follower.Role()
 	}
-	info := cluster.RoleInfo{Role: s.role, Ready: s.obs.ready() == nil && !s.obs.draining.Load()}
-	if api := s.currentAPI(); api.wal != nil {
-		info.Seq = api.wal.SyncedSeq()
+	return cluster.RoleInfo{
+		Role:  s.role,
+		Ready: s.obs.ready() == nil && !s.obs.draining.Load(),
+		Seq:   s.currentAPI().wal.SyncedSeq(),
 	}
-	return info
 }
 
 // replicationStatus derives the /v1/status replication block from the
@@ -196,9 +183,6 @@ func (s *server) resetMirror(ctx context.Context, doc *wal.BootstrapDoc) (*wal.S
 // and the background fetch loop. The returned stop cancels the loop.
 func (s *server) startFollower(cf clusterFlags) (stop func(), err error) {
 	api := s.currentAPI()
-	if api.wal == nil {
-		return nil, fmt.Errorf("role follower needs a WAL-backed log (run with -log-backend wal)")
-	}
 	f, err := cluster.NewFollower(cluster.FollowerConfig{
 		Leader:     strings.TrimRight(cf.leader, "/"),
 		Store:      api.wal,

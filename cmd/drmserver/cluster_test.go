@@ -19,7 +19,7 @@ import (
 	"repro/internal/wal"
 )
 
-// newWALTestServer builds a single-corpus server over a tiny-segment WAL
+// newClusterTestServer builds a single-corpus server over a tiny-segment WAL
 // so replication tests cross rotation boundaries quickly.
 func newClusterTestServer(t *testing.T) (*server, *httptest.Server, *license.Example1) {
 	t.Helper()
@@ -292,8 +292,8 @@ func TestStandaloneRoleProbe(t *testing.T) {
 	if info.Role != cluster.RoleStandalone || !info.Ready {
 		t.Fatalf("standalone role = %+v", info)
 	}
-	// A JSONL-backed server has no frames to ship: typed 409.
-	if code := getJSON(t, ts.URL+"/v1/repl/wal?segment=1&offset=16&seq=0", nil); code != http.StatusConflict {
-		t.Fatalf("jsonl repl/wal: %d, want 409", code)
+	// Every server's log is a WAL, so a standalone ships frames too.
+	if code := getJSON(t, ts.URL+"/v1/repl/wal?segment=1&offset=16&seq=0", nil); code != http.StatusOK {
+		t.Fatalf("standalone repl/wal: %d, want 200", code)
 	}
 }

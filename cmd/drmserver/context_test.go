@@ -5,30 +5,19 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/drmerr"
 	"repro/internal/engine"
 	"repro/internal/license"
-	"repro/internal/logstore"
 )
 
 // newTimeoutServer is newTestServer with the request-timeout middleware
 // wrapped around the routes, as serve() does with -request-timeout.
 func newTimeoutServer(t *testing.T, d time.Duration) (*httptest.Server, *license.Example1) {
 	t.Helper()
-	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(t.TempDir(), "issued.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	srv, err := newServer(ex.Corpus, store, engine.ModeOffline, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, ex := testServer(t, engine.ModeOffline)
 	ts := httptest.NewServer(withRequestTimeout(srv.routes(), d))
 	t.Cleanup(ts.Close)
 	return ts, ex

@@ -5,28 +5,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/license"
-	"repro/internal/logstore"
 )
 
 // FuzzWriteBodies: arbitrary bytes POSTed to any of the four write
 // endpoints are answered with a 2xx, or with a 4xx carrying the
 // structured error body — never a panic and never a 5xx.
 func FuzzWriteBodies(f *testing.F) {
-	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(f.TempDir(), "issued.jsonl"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { store.Close() })
-	srv, err := newServer(ex.Corpus, store, engine.ModeOnline, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
+	srv, ex := testServer(f, engine.ModeOnline)
 	routes := srv.routes()
 	paths := []string{"/v1/issue", "/v1/revoke", "/v1/transfer", "/v1/expire"}
 

@@ -6,8 +6,12 @@
 //
 // Usage:
 //
-//	drmserver -corpus corpus.json -log issued.jsonl -addr :8080 -mode online
+//	drmserver -corpus corpus.json -log issued.wal -addr :8080 -mode online
 //	drmserver -catalog ./catalog-dir -addr :8080 -mode online
+//
+// The issuance log is a WAL directory (internal/wal), created when
+// absent. A JSONL log is refused at startup, untouched, with the
+// drmaudit -migrate-wal command that converts it.
 //
 // Single-corpus endpoints:
 //
@@ -44,7 +48,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -56,7 +62,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/headroom"
 	"repro/internal/license"
-	"repro/internal/logstore"
 	"repro/internal/obs"
 	"repro/internal/overlap"
 	"repro/internal/signature"
@@ -75,11 +80,11 @@ func main() {
 func run() error {
 	var (
 		corpusPath = flag.String("corpus", "corpus.json", "corpus document path (single-corpus mode)")
-		logPath    = flag.String("log", "issued.jsonl",
-			"durable issuance log path (single-corpus mode): a JSONL file, or a WAL directory with -log-backend wal")
+		logPath    = flag.String("log", "issued.wal",
+			"issuance log WAL directory (single-corpus mode), created when absent")
 		catalogPath = flag.String("catalog", "", "catalog directory (multi-content mode; overrides -corpus/-log)")
-		logBackend  = flag.String("log-backend", "jsonl",
-			"issuance log backend for new logs: jsonl or wal (existing logs auto-detect)")
+		logBackend  = flag.String("log-backend", "wal",
+			"vestigial: the log is always a WAL, so wal is the only accepted value")
 		fsyncMode = flag.String("fsync", "always",
 			"WAL durability policy: always, os, or interval[=duration] (group commit)")
 		segmentBytes = flag.Int64("segment-bytes", 0,
@@ -249,10 +254,6 @@ func run() error {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	backend, err := catalog.ParseBackend(*logBackend)
-	if err != nil {
-		return err
-	}
 	fsyncPolicy, fsyncInterval, err := wal.ParseFsync(*fsyncMode)
 	if err != nil {
 		return err
@@ -268,14 +269,17 @@ func run() error {
 		if clf.role != "standalone" {
 			return fmt.Errorf("role %s needs single-corpus mode; shard catalogs with a router over single-corpus peers", clf.role)
 		}
-		cat, err := catalog.OpenWith(*catalogPath, catalog.Config{Mode: m, Backend: backend, WAL: walOpts})
+		if *logBackend != "wal" {
+			return fmt.Errorf("-log-backend %q: catalog entries are WAL directories (want wal)", *logBackend)
+		}
+		cat, err := catalog.OpenWith(*catalogPath, catalog.Config{Mode: m, WAL: walOpts})
 		if err != nil {
 			return err
 		}
 		defer cat.Close()
 		// Drain-time checkpoint: once serve returns (requests drained) and
-		// before the log closes, snapshot every WAL-backed entry so the next
-		// open replays nothing.
+		// before the logs close, snapshot every entry so the next open
+		// replays nothing.
 		defer snapshotCatalogOnExit(cat)
 		srv := newCatalogServer(cat, *workers)
 		for _, e := range cat.Entries() {
@@ -286,7 +290,7 @@ func run() error {
 			logger.Info("expiry sweeper running", "interval", expireEvery.String())
 		}
 		logger.Info("drmserver listening", "catalog", *catalogPath,
-			"entries", cat.Len(), "mode", m.String(), "addr", *addr, "log_backend", string(backend))
+			"entries", cat.Len(), "mode", m.String(), "addr", *addr)
 		return serve(*addr, srv.routes(), srv.obs)
 	}
 
@@ -319,46 +323,36 @@ func run() error {
 		}
 	}
 
-	store, err := openLog(*logPath, backend, walOpts)
+	store, err := openLog(*corpusPath, *logPath, *logBackend, walOpts)
 	if err != nil {
 		return err
 	}
-	defer store.Close()
-	// snapTarget names the store the drain-time checkpoint snapshots; a
-	// follower re-bootstrap swaps in a fresh store, so the deferred
-	// closure reads it late.
-	var snapTarget func() *wal.Store
-	if ws, ok := store.(*wal.Store); ok {
-		st := ws.RecoveryStats()
-		logger.Info("wal recovered", "snapshot_records", st.SnapshotRecords,
-			"tail_records", st.TailRecords, "segments", st.SegmentsScanned,
-			"truncated_bytes", st.TruncatedBytes, "duration", st.Duration.String())
-		snapTarget = func() *wal.Store { return ws }
-		// Drain-time checkpoint; runs before the deferred Close above.
-		defer func() {
-			info, err := snapTarget().Snapshot()
-			if err != nil {
-				logger.Error("final snapshot failed", "err", err)
-				return
-			}
-			logger.Info("final snapshot installed", "records", info.Records, "seq", info.Seq)
-		}()
-	}
-
+	st := store.RecoveryStats()
+	logger.Info("wal recovered", "snapshot_records", st.SnapshotRecords,
+		"tail_records", st.TailRecords, "segments", st.SegmentsScanned,
+		"truncated_bytes", st.TruncatedBytes, "duration", st.Duration.String())
 	srv, err := newServer(corpus, store, m, *workers)
 	if err != nil {
+		store.Close()
 		return err
 	}
+	// Drain-time checkpoint, then close. A follower re-bootstrap swaps in
+	// a fresh store, so the closure reads the current one late.
+	defer func() {
+		ws := srv.currentAPI().wal
+		if info, err := ws.Snapshot(); err != nil {
+			logger.Error("final snapshot failed", "err", err)
+		} else {
+			logger.Info("final snapshot installed", "records", info.Records, "seq", info.Seq)
+		}
+		if err := ws.Close(); err != nil {
+			logger.Error("closing the log", "err", err)
+		}
+	}()
 	srv.walOpts = walOpts
 	srv.api.dist.SetTransferCap(*transferCap)
-	if snapTarget != nil {
-		snapTarget = func() *wal.Store { return srv.currentAPI().wal }
-	}
 	if clf.role == cluster.RoleLeader {
 		srv.role = cluster.RoleLeader
-		if srv.currentAPI().wal == nil {
-			return fmt.Errorf("role leader needs a WAL-backed log (run with -log-backend wal)")
-		}
 	}
 	if clf.role == cluster.RoleFollower {
 		stopFollower, err := srv.startFollower(clf)
@@ -375,28 +369,36 @@ func run() error {
 		logger.Info("expiry sweeper running", "interval", expireEvery.String())
 	}
 	logger.Info("drmserver listening", "licenses", corpus.Len(),
-		"mode", m.String(), "addr", *addr, "log_backend", string(backend), "role", clf.role)
+		"mode", m.String(), "addr", *addr, "role", clf.role)
 	return serve(*addr, srv.routes(), srv.obs)
 }
 
-// openLog opens the single-corpus issuance log, auto-detecting the
-// backend from what exists at path (a directory is a WAL, a file is
-// JSONL) and falling back to the -log-backend flag for fresh logs.
-func openLog(path string, backend catalog.Backend, walOpts wal.Options) (logstore.Durable, error) {
-	if fi, err := os.Stat(path); err == nil {
-		if fi.IsDir() {
-			return wal.Open(path, walOpts)
+// openLog opens (creating if needed) the single-corpus WAL at path. A
+// JSONL log — a regular file at path, or -log-backend jsonl — is refused
+// untouched with a *wal.MigrationError naming the drmaudit run that
+// converts it into the WAL directory beside it.
+func openLog(corpusPath, path, backend string, walOpts wal.Options) (*wal.Store, error) {
+	refuse := func() error {
+		dir := strings.TrimSuffix(path, filepath.Ext(path)) + ".wal"
+		if dir == path {
+			dir += ".wal"
 		}
-		return logstore.OpenFile(path)
+		return &wal.MigrationError{Corpus: corpusPath, Log: path, WAL: dir}
 	}
-	if backend == catalog.BackendWAL {
-		return wal.Open(path, walOpts)
+	switch backend {
+	case "wal":
+	case "jsonl":
+		return nil, refuse()
+	default:
+		return nil, fmt.Errorf("unknown -log-backend %q (want wal)", backend)
 	}
-	return logstore.OpenFile(path)
+	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
+		return nil, refuse()
+	}
+	return wal.Open(path, walOpts)
 }
 
-// snapshotCatalogOnExit checkpoints every WAL-backed entry, logging the
-// outcome; JSONL-only catalogs do nothing.
+// snapshotCatalogOnExit checkpoints every entry, logging the outcome.
 func snapshotCatalogOnExit(cat *catalog.Catalog) {
 	infos, err := cat.SnapshotAll()
 	if err != nil {
@@ -443,10 +445,9 @@ func withRequestTimeout(handler http.Handler, d time.Duration) http.Handler {
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains in-flight
-// requests before returning, so deferred log/catalog closes always run
-// and buffered issuance records reach disk. The health state flips to
-// draining before Shutdown, so /v1/healthz answers 503 for the whole
-// drain window.
+// requests before returning, so the deferred snapshots and log closes
+// always run. The health state flips to draining before Shutdown, so
+// /v1/healthz answers 503 for the whole drain window.
 func serve(addr string, handler http.Handler, o *serverObs) error {
 	httpSrv := &http.Server{
 		Addr:              addr,
@@ -488,17 +489,16 @@ func serve(addr string, handler http.Handler, o *serverObs) error {
 // guards the Distributor: issuance mutates (log append, online tree
 // insert) and takes the write lock; the read-only endpoints — corpus,
 // groups, stats, audit — share a read lock, so concurrent validations and
-// report fetches no longer serialise behind each other. The log store is
-// internally synchronised for the concurrent-flush this allows. In
-// catalog mode all entries share the catalog's lock.
+// report fetches no longer serialise behind each other. In catalog mode
+// all entries share the catalog's lock.
 type corpusAPI struct {
 	mu      *sync.RWMutex
 	corpus  *license.Corpus
 	dist    *engine.Distributor
 	workers int
-	// wal is the entry's log when it is WAL-backed (snapshot endpoint);
-	// nil for JSONL logs. The store synchronises snapshots internally, so
-	// handleSnapshot does not take mu — appends proceed during a snapshot.
+	// wal is the entry's log. The store synchronises snapshots
+	// internally, so handleSnapshot does not take mu — appends proceed
+	// during a snapshot.
 	wal *wal.Store
 }
 
@@ -522,7 +522,7 @@ type server struct {
 // buildDistributor assembles the engine state over a (possibly
 // recovered) log: corpus registration, then — in online mode — the
 // admission-cache warm-up so the first issuance pays no replay.
-func buildDistributor(corpus *license.Corpus, store logstore.Durable, mode engine.Mode) (*engine.Distributor, error) {
+func buildDistributor(corpus *license.Corpus, store *wal.Store, mode engine.Mode) (*engine.Distributor, error) {
 	d := engine.NewDistributor("drmserver", corpus.Schema(), mode, store)
 	for _, l := range corpus.Licenses() {
 		cp := *l
@@ -538,7 +538,7 @@ func buildDistributor(corpus *license.Corpus, store logstore.Durable, mode engin
 	return d, nil
 }
 
-func newServer(corpus *license.Corpus, store logstore.Durable, mode engine.Mode, workers int) (*server, error) {
+func newServer(corpus *license.Corpus, store *wal.Store, mode engine.Mode, workers int) (*server, error) {
 	d, err := buildDistributor(corpus, store, mode)
 	if err != nil {
 		return nil, err
@@ -549,41 +549,27 @@ func newServer(corpus *license.Corpus, store logstore.Durable, mode engine.Mode,
 		}
 		return nil
 	})
-	ws, _ := store.(*wal.Store)
 	srv := &server{
-		api:  corpusAPI{mu: &sync.RWMutex{}, corpus: corpus, dist: d, workers: workers, wal: ws},
+		api:  corpusAPI{mu: &sync.RWMutex{}, corpus: corpus, dist: d, workers: workers, wal: store},
+		repl: cluster.NewLeader(store, 0),
 		obs:  o,
 		role: cluster.RoleStandalone,
 		mode: mode,
 	}
-	if ws != nil {
-		srv.repl = cluster.NewLeader(ws, 0)
-	}
+	// Both read the store through the swap-aware handle: a follower
+	// re-bootstrap replaces it.
 	o.info = func() serviceStatus {
 		api := srv.currentAPI()
-		logLen := store.Len()
-		if api.wal != nil {
-			// Read the log length through the swap-aware handle: a
-			// follower re-bootstrap replaces the WAL store.
-			logLen = api.wal.Len()
-		}
 		return serviceStatus{
 			Name:       "drmserver",
 			Mode:       mode.String(),
 			Entries:    1,
 			Licenses:   corpus.Len(),
 			Groups:     api.dist.NumGroups(),
-			LogRecords: logLen,
+			LogRecords: api.wal.Len(),
 		}
 	}
-	if ws != nil {
-		o.walBacklog = func() int64 {
-			if w := srv.currentAPI().wal; w != nil {
-				return w.Backlog()
-			}
-			return 0
-		}
-	}
+	o.walBacklog = func() int64 { return srv.currentAPI().wal.Backlog() }
 	o.roleInfo = srv.roleInfo
 	o.repl = srv.replicationStatus
 	return srv, nil
@@ -608,7 +594,7 @@ func (s *server) routes() http.Handler {
 	s.obs.wrap(mux, "GET /v1/stats", s.entry(corpusAPI.handleStats))
 	s.obs.wrap(mux, "GET /v1/headroom", s.obs.drainGuard(s.entry(corpusAPI.handleHeadroom)))
 	s.obs.wrap(mux, "POST /v1/snapshot", s.entry(corpusAPI.handleSnapshot))
-	// Replication: the serving side any WAL-backed server exposes, plus
+	// Replication: the serving side every single-corpus server exposes, plus
 	// the follower's promotion trigger. Untracked like the health probes
 	// — a follower's poll loop must not burn the SLO budget.
 	s.obs.wrapUntracked(mux, "GET /v1/repl/wal", s.handleReplWAL)
@@ -827,16 +813,10 @@ func (s corpusAPI) handleHeadroom(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, headroomResponse{Pending: pending, Groups: sums})
 }
 
-// handleSnapshot checkpoints a WAL-backed log on demand: fsync, compact
-// the history into per-set counts, install atomically, retire covered
-// segments in the background. JSONL logs answer 409 — they have no
-// snapshot concept.
+// handleSnapshot checkpoints the log on demand: fsync, compact the
+// history into per-set counts, install atomically, retire covered
+// segments in the background.
 func (s corpusAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.wal == nil {
-		clientError(r.Context(), w, http.StatusConflict,
-			"issuance log backend has no snapshots (run with -log-backend wal)")
-		return
-	}
 	info, err := s.wal.SnapshotContext(r.Context())
 	if err != nil {
 		writeError(r.Context(), w, err)

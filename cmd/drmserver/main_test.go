@@ -12,22 +12,30 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/license"
-	"repro/internal/logstore"
+	"repro/internal/wal"
 )
 
-// newTestServer wires the paper's Example 1 corpus behind the HTTP API.
-func newTestServer(t *testing.T, mode engine.Mode) (*httptest.Server, *license.Example1) {
-	t.Helper()
+// testServer wires the paper's Example 1 corpus over a fresh WAL in the
+// test's temp dir, as run() does with the flag defaults.
+func testServer(tb testing.TB, mode engine.Mode) (*server, *license.Example1) {
+	tb.Helper()
 	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(t.TempDir(), "issued.jsonl"))
+	store, err := wal.Open(filepath.Join(tb.TempDir(), "issued.wal"), wal.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { store.Close() })
+	tb.Cleanup(func() { store.Close() })
 	srv, err := newServer(ex.Corpus, store, mode, 2)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return srv, ex
+}
+
+// newTestServer serves testServer's routes over HTTP.
+func newTestServer(t *testing.T, mode engine.Mode) (*httptest.Server, *license.Example1) {
+	t.Helper()
+	srv, ex := testServer(t, mode)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return ts, ex

@@ -64,8 +64,8 @@ type serverObs struct {
 	// info summarises the serving state for /v1/status; set by the mode
 	// constructor after the corpus/catalog is loaded.
 	info func() serviceStatus
-	// walBacklog sums the fsync backlog over the mode's WAL-backed logs
-	// (nil when none).
+	// walBacklog sums the fsync backlog over the mode's logs (nil for
+	// the router, which has none).
 	walBacklog func() int64
 	// roleInfo answers the cluster role probe (GET /v1/repl/role); nil
 	// defaults to a ready standalone, which is also what pre-cluster

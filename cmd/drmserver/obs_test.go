@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -15,8 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/license"
-	"repro/internal/logstore"
 )
 
 // promSample matches one Prometheus text-format sample line; the label
@@ -92,8 +89,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := series[`drm_issue_total`]; got != 3 {
 		t.Errorf("issued counter = %v, want 3", got)
 	}
-	if got := series[`drm_log_appends_total`]; got != 3 {
-		t.Errorf("log appends = %v, want 3", got)
+	if got := series[`drm_wal_appends_total`]; got != 3 {
+		t.Errorf("wal appends = %v, want 3", got)
 	}
 	if got := series[`drm_audit_runs_total`]; got != 1 {
 		t.Errorf("audit runs = %v, want 1", got)
@@ -137,16 +134,7 @@ func TestMiddlewareStatusClasses(t *testing.T) {
 // TestHealthzDrainAware pins satellite 1: healthz flips to 503 the moment
 // the drain flag is set, and readyz reports the loaded corpus.
 func TestHealthzDrainAware(t *testing.T) {
-	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(t.TempDir(), "issued.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	srv, err := newServer(ex.Corpus, store, engine.ModeOnline, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := testServer(t, engine.ModeOnline)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 

@@ -3,35 +3,16 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/license"
 	"repro/internal/wal"
 )
 
-// newWALTestServer is newTestServer with the issuance log on the WAL
-// backend.
-func newWALTestServer(t *testing.T) (*httptest.Server, *license.Example1, *wal.Store) {
-	t.Helper()
-	ex := license.NewExample1()
-	store, err := wal.Open(filepath.Join(t.TempDir(), "issued.wal"), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	srv, err := newServer(ex.Corpus, store, engine.ModeOnline, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSnapshotEndpointWAL(t *testing.T) {
+	srv, ex := testServer(t, engine.ModeOnline)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
-	return ts, ex, store
-}
-
-func TestSnapshotEndpointWAL(t *testing.T) {
-	ts, ex, store := newWALTestServer(t)
 	for i := 0; i < 3; i++ {
 		req := issueRequest{Values: usageValues(ex), Count: 10}
 		if code := postJSON(t, ts.URL+"/v1/issue", req, nil); code != http.StatusOK {
@@ -45,8 +26,8 @@ func TestSnapshotEndpointWAL(t *testing.T) {
 	if info.Seq != 3 {
 		t.Errorf("snapshot seq = %d, want 3", info.Seq)
 	}
-	if store.SnapshotSeq() != 3 {
-		t.Errorf("store SnapshotSeq = %d, want 3", store.SnapshotSeq())
+	if got := srv.currentAPI().wal.SnapshotSeq(); got != 3 {
+		t.Errorf("store SnapshotSeq = %d, want 3", got)
 	}
 	// Issuance keeps working after the checkpoint, and the audit still
 	// sees the whole history.
@@ -60,16 +41,5 @@ func TestSnapshotEndpointWAL(t *testing.T) {
 	}
 	if !audit.OK {
 		t.Errorf("audit after snapshot = %+v", audit)
-	}
-}
-
-func TestSnapshotEndpointJSONLConflict(t *testing.T) {
-	ts, _ := newTestServer(t, engine.ModeOnline)
-	var e errorBody
-	if code := postJSON(t, ts.URL+"/v1/snapshot", nil, &e); code != http.StatusConflict {
-		t.Fatalf("snapshot on jsonl backend: status = %d, want 409", code)
-	}
-	if e.Error == "" {
-		t.Error("empty error body")
 	}
 }

@@ -4,15 +4,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/license"
-	"repro/internal/logstore"
 	"repro/internal/slo"
 	"repro/internal/trace"
 )
@@ -275,16 +272,7 @@ func TestCatalogUnknownEntryError(t *testing.T) {
 // endpoints answer a typed 503 — but /v1/status keeps serving so the
 // drain itself can be watched.
 func TestDrainGuard503(t *testing.T) {
-	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(t.TempDir(), "issued.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	srv, err := newServer(ex.Corpus, store, engine.ModeOnline, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := testServer(t, engine.ModeOnline)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 

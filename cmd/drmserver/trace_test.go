@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -84,7 +85,7 @@ func spanTreeReaches(rec *trace.TraceRecord, name string) bool {
 // retained ring exports valid Chrome Trace Event JSON.
 func TestTracedIssueEndToEnd(t *testing.T) {
 	tr, logBuf := installTestTracer(t)
-	ts, ex, _ := newWALTestServer(t)
+	ts, ex := newTestServer(t, engine.ModeOnline)
 
 	// A successful issue: its trace must reach the WAL append (and the
 	// FsyncAlways policy's fsync wait under it).
@@ -181,7 +182,7 @@ func TestTracedIssueEndToEnd(t *testing.T) {
 // parent resolves inside its own trace.
 func TestTracedRequestsConcurrentHammer(t *testing.T) {
 	tr, _ := installTestTracer(t)
-	ts, ex, _ := newWALTestServer(t)
+	ts, ex := newTestServer(t, engine.ModeOnline)
 
 	const clients = 8
 	const perClient = 5
@@ -239,7 +240,7 @@ func TestTracingDisabledNoSpans(t *testing.T) {
 	oldTracer := tracer
 	tracer = nil
 	t.Cleanup(func() { tracer = oldTracer })
-	ts, ex, _ := newWALTestServer(t)
+	ts, ex := newTestServer(t, engine.ModeOnline)
 
 	req := issueRequest{Values: usageValues(ex), Count: 1 << 40}
 	var e errorBody
@@ -273,7 +274,7 @@ func TestTraceSlowPolicyDropsFast(t *testing.T) {
 	}
 	logger = slog.New(trace.LogHandler(h))
 	t.Cleanup(func() { tracer, logger = oldTracer, oldLogger })
-	ts, ex, _ := newWALTestServer(t)
+	ts, ex := newTestServer(t, engine.ModeOnline)
 
 	if code := postJSON(t, ts.URL+"/v1/issue", issueRequest{Values: usageValues(ex), Count: 1}, nil); code != http.StatusOK {
 		t.Fatalf("issue status = %d", code)
@@ -300,7 +301,7 @@ func TestTraceSlowPolicyDropsFast(t *testing.T) {
 // locally minted root.
 func TestMiddlewareExtractsTraceparent(t *testing.T) {
 	tr, _ := installTestTracer(t)
-	ts, ex, _ := newWALTestServer(t)
+	ts, ex := newTestServer(t, engine.ModeOnline)
 
 	const upstreamID = "0123456789abcdef"
 	const upstreamSpan = "00000000000000aa"

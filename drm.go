@@ -115,8 +115,6 @@ type (
 	LogStore = logstore.Store
 	// MemLog is the in-memory log store.
 	MemLog = logstore.Mem
-	// FileLog is the JSONL-backed durable log store.
-	FileLog = logstore.File
 	// ValidationTree is the prefix tree of [10] over log records.
 	ValidationTree = vtree.Tree
 	// Violation is one failed validation equation.
@@ -252,9 +250,6 @@ func NewCorpus(s *Schema) *Corpus { return license.NewCorpus(s) }
 
 // NewMemLog returns an in-memory issuance log.
 func NewMemLog() *MemLog { return logstore.NewMem(0) }
-
-// OpenFileLog opens (creating if needed) a durable JSONL issuance log.
-func OpenFileLog(path string) (*FileLog, error) { return logstore.OpenFile(path) }
 
 // EncodeCorpus writes a corpus as a self-describing JSON document.
 func EncodeCorpus(w io.Writer, c *Corpus) error { return license.EncodeCorpus(w, c) }

@@ -6,18 +6,17 @@
 // document and an issuance log in its directory,
 //
 //	<escape(content)>__<escape(permission)>.corpus.json
-//	<escape(content)>__<escape(permission)>.log.jsonl   (jsonl backend)
-//	<escape(content)>__<escape(permission)>.wal/        (wal backend)
+//	<escape(content)>__<escape(permission)>.wal/
 //
-// in the formats of internal/license (EncodeCorpus), internal/logstore
-// (JSONL records), and internal/wal (segmented checksummed WAL). Open
-// scans the directory and wires every pair into an engine.Distributor, so
-// issuance, instance validation, and geometric auditing work per content
-// out of the box. Reopening a catalog resumes exactly where it left off —
-// logs are append-only and corpora immutable on disk (license acquisition
-// rewrites the corpus file atomically). Each entry's log backend is
-// auto-detected from what exists on disk; Config.Backend only decides
-// what NEW logs are created as, so a catalog can migrate entry by entry.
+// in the formats of internal/license (EncodeCorpus) and internal/wal
+// (segmented checksummed WAL). Open scans the directory and wires every
+// pair into an engine.Distributor, so issuance, instance validation, and
+// geometric auditing work per content out of the box. Reopening a catalog
+// resumes exactly where it left off — logs are append-only and corpora
+// immutable on disk (license acquisition rewrites the corpus file
+// atomically). An entry whose only log is a JSONL file
+// (<stem>.log.jsonl, from before the WAL) is refused with a
+// wal.MigrationError naming the drmaudit run that converts it.
 package catalog
 
 import (
@@ -36,7 +35,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fsx"
 	"repro/internal/license"
-	"repro/internal/logstore"
 	"repro/internal/wal"
 )
 
@@ -49,48 +47,15 @@ type Entry struct {
 	Corpus *license.Corpus
 	// Dist wraps the corpus for issuance and audits.
 	Dist *engine.Distributor
-	// Log is the durable issuance log backing Dist — a *logstore.File
-	// (jsonl) or *wal.Store (wal), depending on what exists on disk.
-	Log logstore.Durable
-}
-
-// WAL returns the entry's log as a WAL store, or nil when the entry is
-// JSONL-backed — the type gate for snapshot and recovery operations.
-func (e *Entry) WAL() *wal.Store {
-	s, _ := e.Log.(*wal.Store)
-	return s
-}
-
-// Backend selects the log format for newly created entries. Existing
-// entries always open with whatever backend their files are in.
-type Backend string
-
-const (
-	// BackendJSONL appends JSON lines — human-greppable, no checksums.
-	BackendJSONL Backend = "jsonl"
-	// BackendWAL appends checksummed binary frames to segmented files with
-	// snapshots and crash recovery (internal/wal).
-	BackendWAL Backend = "wal"
-)
-
-// ParseBackend parses a -log-backend flag value.
-func ParseBackend(s string) (Backend, error) {
-	switch Backend(s) {
-	case BackendJSONL, BackendWAL:
-		return Backend(s), nil
-	default:
-		return "", fmt.Errorf("catalog: unknown log backend %q (want jsonl or wal)", s)
-	}
+	// Log is the durable issuance log backing Dist.
+	Log *wal.Store
 }
 
 // Config tunes how a catalog opens and creates entries.
 type Config struct {
 	// Mode is the validation mode every distributor runs in.
 	Mode engine.Mode
-	// Backend is the log format for entries created from now on; empty
-	// means BackendJSONL.
-	Backend Backend
-	// WAL configures WAL-backed logs (segment size, fsync policy,
+	// WAL configures the entries' logs (segment size, fsync policy,
 	// auto-snapshot cadence).
 	WAL wal.Options
 }
@@ -115,8 +80,8 @@ func key(content string, perm license.Permission) string {
 }
 
 // Open loads every corpus in dir (creating dir if needed) and prepares a
-// distributor per entry in the given validation mode, creating new logs
-// as JSONL. It is OpenWith with a default Config.
+// distributor per entry in the given validation mode. It is OpenWith
+// with a default Config.
 func Open(dir string, mode engine.Mode) (*Catalog, error) {
 	return OpenWith(dir, Config{Mode: mode})
 }
@@ -124,12 +89,6 @@ func Open(dir string, mode engine.Mode) (*Catalog, error) {
 // OpenWith loads every corpus in dir (creating dir if needed) under the
 // given configuration.
 func OpenWith(dir string, cfg Config) (*Catalog, error) {
-	if cfg.Backend == "" {
-		cfg.Backend = BackendJSONL
-	}
-	if _, err := ParseBackend(string(cfg.Backend)); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: creating %s: %w", dir, err)
 	}
@@ -186,9 +145,9 @@ func (c *Catalog) wire(corpus *license.Corpus, stem string) error {
 		}
 	}
 	if c.cfg.Mode == engine.ModeOnline {
-		// Recovery warm-up: build the admission cache now, from the log the
-		// backend just recovered (a WAL replays its compacted ledger), so
-		// the first issuance after reopen pays no replay.
+		// Recovery warm-up: build the admission cache now, from the
+		// compacted ledger the WAL just recovered, so the first issuance
+		// after reopen pays no replay.
 		if err := dist.WarmHeadroom(context.Background()); err != nil {
 			log.Close()
 			return fmt.Errorf("catalog: warming headroom for (%s, %s): %w", first.Content, first.Permission, err)
@@ -204,23 +163,17 @@ func (c *Catalog) wire(corpus *license.Corpus, stem string) error {
 	return nil
 }
 
-// openLog opens the issuance log for stem, auto-detecting the backend
-// from what exists on disk (a populated catalog keeps working however the
-// process is configured) and falling back to Config.Backend for new
-// entries.
-func (c *Catalog) openLog(stem string) (logstore.Durable, error) {
+// openLog opens (creating if needed) the WAL for stem. A JSONL log with
+// no WAL beside it is refused, untouched, with the command that
+// migrates it; when both exist the WAL is the log.
+func (c *Catalog) openLog(stem string) (*wal.Store, error) {
 	walDir := stem + walSuffix
-	if _, err := os.Stat(walDir); err == nil {
-		return wal.Open(walDir, c.cfg.WAL)
+	if _, err := os.Stat(walDir); errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(stem + logSuffix); err == nil {
+			return nil, &wal.MigrationError{Corpus: stem + corpusSuffix, Log: stem + logSuffix, WAL: walDir}
+		}
 	}
-	jsonl := stem + logSuffix
-	if _, err := os.Stat(jsonl); err == nil {
-		return logstore.OpenFile(jsonl)
-	}
-	if c.cfg.Backend == BackendWAL {
-		return wal.Open(walDir, c.cfg.WAL)
-	}
-	return logstore.OpenFile(jsonl)
+	return wal.Open(walDir, c.cfg.WAL)
 }
 
 // Add registers a new corpus, persisting it to disk. The corpus'
@@ -324,19 +277,14 @@ func (c *Catalog) AuditAllContext(ctx context.Context, workers int) (map[*Entry]
 	return out, nil
 }
 
-// SnapshotAll checkpoints every WAL-backed entry (JSONL entries have no
-// snapshot concept and are skipped), returning per-entry snapshot infos.
-// It keeps going after a failure and returns the first error alongside
-// whatever succeeded.
+// SnapshotAll checkpoints every entry's log, returning per-entry
+// snapshot infos. It keeps going after a failure and returns the first
+// error alongside whatever succeeded.
 func (c *Catalog) SnapshotAll() (map[*Entry]wal.SnapshotInfo, error) {
 	out := make(map[*Entry]wal.SnapshotInfo)
 	var firstErr error
 	for _, e := range c.entries {
-		w := e.WAL()
-		if w == nil {
-			continue
-		}
-		info, err := w.Snapshot()
+		info, err := e.Log.Snapshot()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("catalog: snapshotting (%s, %s): %w", e.Content, e.Permission, err)
@@ -348,17 +296,7 @@ func (c *Catalog) SnapshotAll() (map[*Entry]wal.SnapshotInfo, error) {
 	return out, firstErr
 }
 
-// Flush forces all issuance logs to the OS.
-func (c *Catalog) Flush() error {
-	for _, e := range c.entries {
-		if err := e.Log.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close flushes and closes every log. The catalog is unusable afterwards.
+// Close closes every log. The catalog is unusable afterwards.
 func (c *Catalog) Close() error {
 	var firstErr error
 	for _, e := range c.entries {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/interval"
 	"repro/internal/license"
+	"repro/internal/logstore"
 )
 
 // testCorpus builds a small single-axis corpus for the given pair.
@@ -241,7 +242,10 @@ func TestKeyEscaping(t *testing.T) {
 	}
 }
 
-func TestFlushMakesRecordsDurable(t *testing.T) {
+// TestIssuedRecordSurvivesCrash: a catalog opened with the default
+// config acknowledges an issue, and the process dies without closing it.
+// The reopened catalog holds the record.
+func TestIssuedRecordSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, engine.ModeOffline)
 	if err != nil {
@@ -255,19 +259,18 @@ func TestFlushMakesRecordsDurable(t *testing.T) {
 	if _, err := e.Dist.Issue(license.Usage, usageRect(t, corpus, 1, 2), 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The record is visible to an independent reader before Close.
-	logPath := filepath.Join(dir, "m9__play"+logSuffix)
-	data, err := os.ReadFile(logPath)
+	// No Close: the process just died.
+
+	c2, err := Open(dir, engine.ModeOffline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Error("flushed log is empty")
-	}
-	if err := c.Close(); err != nil {
+	defer c2.Close()
+	recs, err := logstore.Collect(c2.Get("m9", license.Play).Log)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Count != 10 {
+		t.Errorf("recovered %+v, want the one acknowledged issue of 10", recs)
 	}
 }

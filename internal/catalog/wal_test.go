@@ -1,20 +1,23 @@
 package catalog
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/license"
+	"repro/internal/logstore"
 	"repro/internal/wal"
 )
 
-var walCfg = Config{Mode: engine.ModeOnline, Backend: BackendWAL}
-
 func TestWALBackendReopenResumesState(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cat")
-	c, err := OpenWith(dir, walCfg)
+	c, err := Open(dir, engine.ModeOnline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +25,6 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 	e, err := c.Add(corpus)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.WAL() == nil {
-		t.Fatal("new entry is not WAL-backed under BackendWAL")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "m__play.wal")); err != nil {
 		t.Fatalf("WAL dir missing: %v", err)
@@ -38,7 +38,7 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenWith(dir, walCfg)
+	c2, err := Open(dir, engine.ModeOnline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,50 +60,62 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 	}
 }
 
-// TestBackendAutoDetect opens a catalog holding one JSONL entry and one
-// WAL entry with either configured default: each entry must keep its
-// on-disk backend.
-func TestBackendAutoDetect(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cat")
-	c, err := Open(dir, engine.ModeOnline) // default: jsonl
-	if err != nil {
+// TestOpenRefusesJSONLOnlyEntry: an entry whose only log is a JSONL file
+// is refused with the migration command and left byte-identical; once a
+// WAL sits beside it, the entry opens on the WAL.
+func TestOpenRefusesJSONLOnlyEntry(t *testing.T) {
+	dir := t.TempDir()
+	stem := filepath.Join(dir, "m__play")
+	corpus := testCorpus(t, "m", license.Play, 100)
+	if err := writeCorpusAtomic(stem+corpusSuffix, corpus); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Add(testCorpus(t, "jsonl-movie", license.Play, 50)); err != nil {
+	recs := []logstore.Record{{Set: bitset.MaskOf(0), Count: 30}}
+	var jsonl bytes.Buffer
+	if err := logstore.WriteAll(&jsonl, recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c, err = OpenWith(dir, walCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Add(testCorpus(t, "wal-movie", license.Play, 50)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
+	if err := os.WriteFile(stem+logSuffix, jsonl.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, backend := range []Backend{BackendJSONL, BackendWAL} {
-		c, err := OpenWith(dir, Config{Mode: engine.ModeOnline, Backend: backend})
-		if err != nil {
-			t.Fatalf("backend %s: %v", backend, err)
-		}
-		if got := c.Get("jsonl-movie", license.Play).WAL(); got != nil {
-			t.Errorf("backend %s: jsonl entry reopened as WAL", backend)
-		}
-		if got := c.Get("wal-movie", license.Play).WAL(); got == nil {
-			t.Errorf("backend %s: wal entry reopened as JSONL", backend)
-		}
-		c.Close()
+	_, err := Open(dir, engine.ModeOnline)
+	var merr *wal.MigrationError
+	if !errors.As(err, &merr) || !strings.Contains(err.Error(), "-migrate-wal "+stem+walSuffix) {
+		t.Fatalf("err = %v, want a *wal.MigrationError naming -migrate-wal", err)
+	}
+	if got, _ := os.ReadFile(stem + logSuffix); !bytes.Equal(got, jsonl.Bytes()) {
+		t.Error("refused JSONL log was modified")
+	}
+	if _, err := os.Stat(stem + walSuffix); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refusal created a WAL: %v", err)
+	}
+
+	// What the migration leaves: a WAL holding the records, beside the
+	// untouched JSONL file.
+	ws, err := wal.Open(stem+walSuffix, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, engine.ModeOnline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n := c.Get("m", license.Play).Log.Len(); n != len(recs) {
+		t.Errorf("entry opened with %d records, want the WAL's %d", n, len(recs))
 	}
 }
 
 func TestSnapshotAll(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cat")
-	c, err := OpenWith(dir, walCfg)
+	c, err := Open(dir, engine.ModeOnline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,27 +141,14 @@ func TestSnapshotAll(t *testing.T) {
 	if info.Seq != 4 {
 		t.Errorf("snapshot Seq = %d, want 4", info.Seq)
 	}
-	if e.WAL().SnapshotSeq() != 4 {
-		t.Errorf("store SnapshotSeq = %d, want 4", e.WAL().SnapshotSeq())
-	}
-}
-
-func TestParseBackend(t *testing.T) {
-	for in, want := range map[string]Backend{"jsonl": BackendJSONL, "wal": BackendWAL} {
-		got, err := ParseBackend(in)
-		if err != nil || got != want {
-			t.Errorf("ParseBackend(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseBackend("csv"); err == nil {
-		t.Error("ParseBackend accepted csv")
+	if e.Log.SnapshotSeq() != 4 {
+		t.Errorf("store SnapshotSeq = %d, want 4", e.Log.SnapshotSeq())
 	}
 }
 
 // TestWALConfigPropagates checks Config.WAL reaches the opened store.
 func TestWALConfigPropagates(t *testing.T) {
-	cfg := walCfg
-	cfg.WAL = wal.Options{SnapshotEvery: 2}
+	cfg := Config{Mode: engine.ModeOnline, WAL: wal.Options{SnapshotEvery: 2}}
 	c, err := OpenWith(filepath.Join(t.TempDir(), "cat"), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +164,10 @@ func TestWALConfigPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.WAL().SnapshotSeq(); got != 4 {
+	if got := e.Log.SnapshotSeq(); got != 4 {
 		t.Errorf("SnapshotSeq = %d, want 4 (auto-snapshot every 2)", got)
 	}
-	st := e.WAL().RecoveryStats()
+	st := e.Log.RecoveryStats()
 	if st.SnapshotRecords != 0 || st.TailRecords != 0 || st.TruncatedBytes != 0 {
 		t.Errorf("fresh store has nonzero recovery stats: %+v", st)
 	}

@@ -80,6 +80,16 @@ func auditGolden(t *testing.T, store logstore.Store) []byte {
 	return append(b, '\n')
 }
 
+// readJSONL replays a JSONL log file into an in-memory store.
+func readJSONL(t *testing.T, path string) *logstore.Mem {
+	t.Helper()
+	store := logstore.NewMem(0)
+	if err := logstore.ReadFile(path, store.Append); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 // copyTree copies the checked-in artifact (file or directory) into a
 // scratch dir, so replays never mutate testdata.
 func copyTree(t *testing.T, src, dst string) {
@@ -139,17 +149,9 @@ func TestV1KindlessLogCompat(t *testing.T) {
 		t.Fatal("v1 JSONL artifact contains a kind key; it must stay kindless")
 	}
 
-	scratch := t.TempDir()
-	jsonlCopy := filepath.Join(scratch, "issued.jsonl")
-	copyTree(t, jsonlPath, jsonlCopy)
-	fileStore, err := logstore.OpenFile(jsonlCopy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fileStore.Close()
-	fromJSONL := auditGolden(t, fileStore)
+	fromJSONL := auditGolden(t, readJSONL(t, jsonlPath))
 
-	walCopy := filepath.Join(scratch, "wal")
+	walCopy := filepath.Join(t.TempDir(), "wal")
 	copyTree(t, walDir, walCopy)
 	walStore, err := wal.Open(walCopy, wal.Options{})
 	if err != nil {
@@ -186,16 +188,14 @@ func regenerateV1Artifacts(t *testing.T, td, jsonlPath, walDir, goldenPath strin
 	}
 	recs := v1CompatRecords()
 
-	fileStore, err := logstore.OpenFile(jsonlPath)
+	jf, err := os.Create(jsonlPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := fileStore.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := logstore.WriteAll(jf, recs); err != nil {
+		t.Fatal(err)
 	}
-	if err := fileStore.Close(); err != nil {
+	if err := jf.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,14 +212,7 @@ func regenerateV1Artifacts(t *testing.T, td, jsonlPath, walDir, goldenPath strin
 		t.Fatal(err)
 	}
 
-	reopened, err := logstore.OpenFile(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(goldenPath, auditGolden(t, reopened), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.Close(); err != nil {
+	if err := os.WriteFile(goldenPath, auditGolden(t, readJSONL(t, jsonlPath)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Log("v1 compatibility artifacts regenerated")

@@ -4,7 +4,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/headroom"
-	"repro/internal/logstore"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/vtree"
@@ -87,13 +86,12 @@ func Instrument(reg *obs.Registry) {
 }
 
 // InstrumentAll wires every instrumentable package below the engine —
-// vtree, core, logstore, wal, headroom, cluster, and the engine itself
+// vtree, core, wal, trace, headroom, cluster, and the engine itself
 // — to one registry. Callers (drmserver, drmaudit, drmbench) do this
 // once at startup, before any concurrent use.
 func InstrumentAll(reg *obs.Registry) {
 	vtree.Instrument(reg)
 	core.Instrument(reg)
-	logstore.Instrument(reg)
 	wal.Instrument(reg)
 	trace.Instrument(reg)
 	headroom.Instrument(reg)

@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -23,16 +24,57 @@ func writeLog(t *testing.T, content string) string {
 
 const threeRecords = "{\"set\":3,\"count\":800}\n{\"set\":2,\"count\":400}\n{\"set\":5,\"count\":100}\n"
 
-func TestOpenFileTornTail(t *testing.T) {
+// readLocated reads a JSONL log through ReadFile and checks the error
+// contract a hand repair relies on: a failed replay is a typed
+// *CorruptError whose Records counts the records delivered before it,
+// and truncating the log at its Offset leaves a clean log of exactly
+// those records. It returns the records delivered and the error.
+func readLocated(t *testing.T, data []byte) ([]Record, *CorruptError) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var records []Record
+	err := ReadFile(path, func(r Record) error {
+		records = append(records, r)
+		return nil
+	})
+	for _, r := range records {
+		if r.Validate() != nil {
+			t.Fatalf("ReadFile delivered invalid record %+v", r)
+		}
+	}
+	if err == nil {
+		return records, nil
+	}
+	var cerr *CorruptError
+	if !errors.Is(err, drmerr.ErrStoreCorrupt) || !errors.As(err, &cerr) {
+		t.Fatalf("err = %v, want typed *CorruptError", err)
+	}
+	if cerr.Records != len(records) {
+		t.Fatalf("Records = %d, but %d records were delivered", cerr.Records, len(records))
+	}
+	if cerr.Offset < 0 || cerr.Offset > int64(len(data)) {
+		t.Fatalf("Offset %d outside the %d-byte log", cerr.Offset, len(data))
+	}
+	n := 0
+	if err := Read(bytes.NewReader(data[:cerr.Offset]), func(Record) error { n++; return nil }); err != nil || n != cerr.Records {
+		t.Fatalf("log cut at Offset %d: %d records, err %v; want %d, nil", cerr.Offset, n, err, cerr.Records)
+	}
+	return records, cerr
+}
+
+func TestReadFileTornTail(t *testing.T) {
 	// A crashed append leaves a half-written line at the end.
 	path := writeLog(t, threeRecords+"{\"set\":7,\"cou")
-	_, err := OpenFile(path)
+	err := ReadFile(path, func(Record) error { return nil })
 	if !errors.Is(err, drmerr.ErrStoreCorrupt) {
 		t.Fatalf("err = %v, want store corrupt", err)
 	}
-	var cerr *CorruptError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("err = %v, want *CorruptError", err)
+	_, cerr := readLocated(t, []byte(threeRecords+"{\"set\":7,\"cou"))
+	if cerr == nil {
+		t.Fatal("torn tail read cleanly")
 	}
 	// The decoder's offset stops just past the last valid JSON value,
 	// before its trailing newline.
@@ -42,162 +84,28 @@ func TestOpenFileTornTail(t *testing.T) {
 	if cerr.Records != 3 {
 		t.Errorf("Records = %d, want 3", cerr.Records)
 	}
-	if !cerr.Torn {
-		t.Error("Torn = false, want true (no valid records after damage)")
-	}
-	if !strings.Contains(err.Error(), "byte offset") {
-		t.Errorf("error does not name the byte offset: %v", err)
+	if msg := err.Error(); !strings.Contains(msg, "byte offset") || !strings.Contains(msg, path) {
+		t.Errorf("error does not name the file and byte offset: %v", err)
 	}
 }
 
-func TestOpenFileMidLogCorruption(t *testing.T) {
-	// Damage in the middle with valid records after it: not repairable by
-	// truncation.
-	path := writeLog(t, "{\"set\":3,\"count\":800}\n???garbage???\n{\"set\":2,\"count\":400}\n")
-	_, err := OpenFile(path)
-	var cerr *CorruptError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("err = %v, want *CorruptError", err)
-	}
-	if cerr.Torn {
-		t.Error("Torn = true, want false (valid records follow the damage)")
-	}
-	if cerr.Records != 1 {
-		t.Errorf("Records = %d, want 1", cerr.Records)
-	}
-	// RepairFile must refuse: truncating would drop the trailing record.
-	if _, rerr := RepairFile(path); !errors.Is(rerr, drmerr.ErrStoreCorrupt) {
-		t.Errorf("RepairFile on mid-log corruption: err = %v, want store corrupt", rerr)
-	}
-}
-
-func TestOpenFileInvalidRecordIsCorrupt(t *testing.T) {
-	// Structurally valid JSON that fails Record.Validate is corruption
-	// too: the log never contains such rows by construction.
-	path := writeLog(t, "{\"set\":3,\"count\":800}\n{\"set\":0,\"count\":5}\n")
-	_, err := OpenFile(path)
-	if !errors.Is(err, drmerr.ErrStoreCorrupt) {
-		t.Fatalf("err = %v, want store corrupt", err)
-	}
-}
-
-func TestRepairFileTornTail(t *testing.T) {
-	path := writeLog(t, threeRecords+"{\"set\":7,\"cou")
-	removed, err := RepairFile(path)
-	if err != nil {
-		t.Fatalf("RepairFile: %v", err)
-	}
-	if removed != int64(len("{\"set\":7,\"cou")) {
-		t.Errorf("removed = %d, want %d", removed, len("{\"set\":7,\"cou"))
-	}
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatalf("OpenFile after repair: %v", err)
-	}
-	defer f.Close()
-	if f.Len() != 3 {
-		t.Errorf("Len after repair = %d, want 3", f.Len())
-	}
-	// Appends after repair land on a fresh line.
-	if err := f.Append(Record{Set: 9, Count: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var got []Record
-	if err := ReadFile(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
-		t.Fatalf("re-read after repair+append: %v", err)
-	}
-	if len(got) != 4 || got[3] != (Record{Set: 9, Count: 7}) {
-		t.Errorf("records after repair+append = %+v", got)
-	}
-}
-
-func TestRepairFileCleanLogUntouched(t *testing.T) {
-	path := writeLog(t, threeRecords)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := RepairFile(path)
-	if err != nil || removed != 0 {
-		t.Fatalf("RepairFile on clean log = %d, %v; want 0, nil", removed, err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Error("RepairFile modified a clean log")
-	}
-}
-
-func TestCompactFileTornTailFailsCleanly(t *testing.T) {
-	content := threeRecords + "{\"set\":7,\"cou"
-	path := writeLog(t, content)
-	if _, _, err := CompactFile(path); !errors.Is(err, drmerr.ErrStoreCorrupt) {
-		t.Fatalf("CompactFile on torn log: err = %v, want store corrupt", err)
-	}
-	// The damaged file is left exactly as it was — no partial rewrite, no
-	// temp-file litter.
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != content {
-		t.Error("CompactFile modified the damaged log")
-	}
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("directory has %d entries after failed compaction, want 1", len(entries))
-	}
-}
-
-// TestOpenFileTruncatedAtEveryOffset is the JSONL analogue of the WAL
-// crash sweep: a valid log cut at every byte offset must either open with
-// a record-count prefix or fail with a typed, repairable torn-tail error —
-// and after RepairFile it must always open.
-func TestOpenFileTruncatedAtEveryOffset(t *testing.T) {
+// TestReadFileTruncatedAtEveryOffset cuts a valid log at every byte
+// offset: each cut either reads a prefix of the records or fails with a
+// located error whose Offset truncation reads cleanly.
+func TestReadFileTruncatedAtEveryOffset(t *testing.T) {
 	full := []byte(threeRecords + "{\"set\":6,\"count\":123}\n")
-	dir := t.TempDir()
 	for cut := 0; cut <= len(full); cut++ {
-		path := filepath.Join(dir, "log.jsonl")
-		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
+		records, _ := readLocated(t, full[:cut])
+		if len(records) > 4 {
+			t.Fatalf("cut %d: invented records: %d", cut, len(records))
 		}
-		f, err := OpenFile(path)
-		if err == nil {
-			if f.Len() > 4 {
-				t.Fatalf("cut %d: invented records: Len = %d", cut, f.Len())
-			}
-			f.Close()
-			continue
-		}
-		var cerr *CorruptError
-		if !errors.Is(err, drmerr.ErrStoreCorrupt) || !errors.As(err, &cerr) {
-			t.Fatalf("cut %d: err = %v, want typed *CorruptError", cut, err)
-		}
-		if !cerr.Torn {
-			t.Fatalf("cut %d: truncation classified as mid-log corruption", cut)
-		}
-		if _, err := RepairFile(path); err != nil {
-			t.Fatalf("cut %d: RepairFile: %v", cut, err)
-		}
-		f, err = OpenFile(path)
-		if err != nil {
-			t.Fatalf("cut %d: OpenFile after repair: %v", cut, err)
-		}
-		f.Close()
 	}
 }
 
 // FuzzReadFile feeds arbitrary file contents — truncated logs, garbage,
-// blank lines — to the file-level reader: it must never panic, and every
-// record it delivers before failing must be valid.
+// blank lines — to the file-level reader: it must never panic, every
+// record it delivers must be valid, and a failure must locate the bad
+// record exactly (see readLocated).
 func FuzzReadFile(f *testing.F) {
 	f.Add([]byte(threeRecords))
 	f.Add([]byte(""))
@@ -208,35 +116,6 @@ func FuzzReadFile(f *testing.F) {
 	f.Add([]byte("{\"set\":0,\"count\":0}\n"))
 	f.Add([]byte("{\"set\":1,\"count\":1}")) // no trailing newline: still one record
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var records []Record
-		err := ReadFile(path, func(r Record) error {
-			records = append(records, r)
-			return nil
-		})
-		for _, r := range records {
-			if r.Validate() != nil {
-				t.Fatalf("ReadFile delivered invalid record %+v", r)
-			}
-		}
-		if err != nil {
-			return
-		}
-		// An accepted log opens, scans to the same count, and needs no
-		// repair.
-		fl, oerr := OpenFile(path)
-		if oerr != nil {
-			t.Fatalf("ReadFile accepted but OpenFile rejected: %v", oerr)
-		}
-		if fl.Len() != len(records) {
-			t.Fatalf("OpenFile Len = %d, ReadFile saw %d", fl.Len(), len(records))
-		}
-		fl.Close()
-		if removed, rerr := RepairFile(path); rerr != nil || removed != 0 {
-			t.Fatalf("clean log repaired: removed=%d err=%v", removed, rerr)
-		}
+		readLocated(t, data)
 	})
 }

@@ -2,7 +2,6 @@ package logstore
 
 import (
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -143,34 +142,6 @@ func TestFoldTableGrows(t *testing.T) {
 	fold.Flush()
 	if g, w := got.Canonical(), want.Canonical(); !slices.Equal(g, w) {
 		t.Fatalf("after growth: %d canonical records, want %d", len(g), len(w))
-	}
-}
-
-// TestFoldRebuildsFileLedger reopens a JSONL log of lifecycle records:
-// the scan folds it back into the ledger its appends built.
-func TestFoldRebuildsFileLedger(t *testing.T) {
-	recs := foldSequence(t, rand.New(rand.NewSource(7)), 500, 6, 4, false)
-	path := filepath.Join(t.TempDir(), "issue.log.jsonl")
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := f.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := f.LedgerSnapshot().Canonical()
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if got := g.LedgerSnapshot().Canonical(); !slices.Equal(got, want) {
-		t.Fatalf("reopened ledger = %+v\nwant %+v", got, want)
 	}
 }
 

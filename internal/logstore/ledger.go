@@ -373,8 +373,7 @@ func (l *Ledger) Canonical() []Record {
 
 // LedgerReader is implemented by stores that expose a snapshot of their
 // lifecycle ledger state. The engine's expiry sweeper and transfer-cap
-// policy read it; all three bundled stores (Mem, File, wal.Store)
-// implement it.
+// policy read it; both bundled stores (Mem and wal.Store) implement it.
 type LedgerReader interface {
 	// LedgerSnapshot returns an independent copy of the store's current
 	// ledger, safe to read without further locking.

@@ -5,21 +5,20 @@
 // set of redistribution licenses (as a corpus-index mask) and the issued
 // permission count. The validation tree is later built by replaying the log.
 //
-// Two stores are provided: Mem (in-memory, the benchmark substrate) and
-// File (JSON-lines on disk with buffered appends, the durable substrate the
-// CLI tools and the engine use). Both implement Store.
+// Mem is the in-memory Store, the benchmark and library substrate; the
+// durable Store a server opens is internal/wal. JSON lines are this
+// package's offline interchange format: WriteAll writes them (drmgen),
+// and Read and ReadFile replay them (drmaudit, its -migrate-wal
+// conversion, and the golden compatibility test).
 package logstore
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/bitset"
@@ -117,17 +116,6 @@ type Store interface {
 	ForEach(fn func(Record) error) error
 }
 
-// Durable is a Store backed by persistent media: Flush pushes buffered
-// records toward the OS, Close releases the backing resources. Both
-// *File (JSONL) and *wal.Store (segmented checksummed WAL) implement it;
-// catalog entries hold their logs through this interface so the two
-// backends interchange.
-type Durable interface {
-	Store
-	Flush() error
-	Close() error
-}
-
 // ContextAppender is implemented by stores whose appends accept a
 // context, so tracing (and any future per-append deadline handling) can
 // reach inside the append path — *wal.Store records append and fsync
@@ -217,7 +205,6 @@ func (m *Mem) Append(r Record) error {
 	m.ledger.Apply(r)
 	m.records = append(m.records, r)
 	m.mu.Unlock()
-	M.Appends.Inc()
 	return nil
 }
 
@@ -273,377 +260,71 @@ func Compact(records []Record) []Record {
 	return led.Canonical()
 }
 
-// CompactFile rewrites a JSONL log file with its records compacted (one
-// record per distinct belongs-to set, counts summed, ordered by set).
-// Validation semantics are unchanged — the validation tree aggregates
-// identical sets anyway — but long-lived logs shrink by orders of
-// magnitude, since at most 2^{N_k}−1 distinct sets exist per group. The
-// rewrite is atomic (temp file + rename); the file must not be open in a
-// live File store. It returns the record counts before and after.
-func CompactFile(path string) (before, after int, err error) {
-	var records []Record
-	if err := ReadFile(path, func(r Record) error {
-		records = append(records, r)
-		return nil
-	}); err != nil {
-		return 0, 0, err
-	}
-	compacted := Compact(records)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".log-compact-*")
-	if err != nil {
-		return 0, 0, fmt.Errorf("logstore: temp file: %w", err)
-	}
-	if err := WriteAll(tmp, compacted); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, 0, fmt.Errorf("logstore: closing temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return 0, 0, fmt.Errorf("logstore: installing %s: %w", path, err)
-	}
-	return len(records), len(compacted), nil
-}
-
-// File is a durable Store appending JSON lines to a file. Records are
-// buffered; call Flush (or Close) to force them to the OS.
-//
-// An internal mutex serialises appends and flushes, so concurrent readers
-// (ForEach flushes before replaying) are safe with each other — the
-// pattern drmserver's read-locked audit endpoints rely on. Interleaving
-// Append with ForEach is still the caller's problem: a replay running
-// concurrently with appends sees an unspecified prefix of them.
-type File struct {
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
-	enc    *json.Encoder
-	n      int
-	ledger Ledger
-}
-
-// OpenFile opens (creating if needed) a JSONL log at path, decoding the
-// existing records so Len is correct for pre-existing logs. A log whose
-// tail was torn by a crash (trailing bytes that do not decode into a
-// valid record) is rejected with a KindStoreCorrupt error carrying a
-// *CorruptError that names the byte offset — callers repair it explicitly
-// with RepairFile (or drmaudit -repair) rather than silently appending
-// after garbage.
-func OpenFile(path string) (*File, error) {
-	n, _, led, err := scanFile(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("logstore: open %s: %w", path, err)
-	}
-	w := bufio.NewWriter(f)
-	return &File{f: f, w: w, enc: json.NewEncoder(w), n: n, ledger: led}, nil
-}
-
-// CorruptError reports undecodable bytes in a JSONL log: everything
-// before Offset decodes into valid records, the bytes at Offset do not.
-// Torn reports whether the damage is a torn tail (no valid record follows
-// the bad bytes, the shape a crashed append leaves) — repairable by
-// truncating at Offset — as opposed to mid-log corruption, where valid
-// records after the bad region would be lost by truncation.
+// CorruptError locates JSONL input that fails replay: everything before
+// Offset decodes into Records valid records, and the content at Offset
+// is undecodable, structurally invalid or unsound. A hand repair of a
+// damaged log truncates it at Offset, keeping those Records records.
 type CorruptError struct {
-	Path string
-	// Offset is the byte offset of the first undecodable content;
-	// Records counts the valid records before it.
 	Offset  int64
 	Records int
-	Torn    bool
 	Err     error
 }
 
 // Error implements error.
 func (e *CorruptError) Error() string {
-	shape := "mid-log corruption"
-	if e.Torn {
-		shape = "torn tail"
-	}
-	return fmt.Sprintf("logstore: %s: %s at byte offset %d (%d valid records before it): %v",
-		e.Path, shape, e.Offset, e.Records, e.Err)
+	return fmt.Sprintf("logstore: bad record at byte offset %d (%d valid records before it): %v",
+		e.Offset, e.Records, e.Err)
 }
 
-// Unwrap exposes the decode failure.
+// Unwrap exposes the decode, validation or soundness failure.
 func (e *CorruptError) Unwrap() error { return e.Err }
 
-// scanFile decodes every record in a JSONL log, returning the record
-// count, the byte offset just past the last valid record, and the
-// rebuilt lifecycle ledger. Undecodable content — including records
-// that would break ledger soundness — yields a KindStoreCorrupt error
-// wrapping a *CorruptError; a missing file is an empty log. Note the
-// limits of JSONL self-checking: a tail torn at a byte position that
-// still parses as a valid record (e.g. a count cut from 800 to 80) is
-// undetectable here — the CRC-framed internal/wal backend exists for
-// exactly that reason.
-func scanFile(path string) (n int, validEnd int64, led Ledger, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, Ledger{}, nil
-	}
-	if err != nil {
-		return 0, 0, Ledger{}, fmt.Errorf("logstore: open %s: %w", path, err)
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	fold := NewFold(&led)
-	for {
-		var rec Record
-		derr := dec.Decode(&rec)
-		if derr == io.EOF {
-			fold.Flush()
-			return n, validEnd, led, nil
-		}
-		if derr == nil {
-			derr = rec.Validate()
-		}
-		if derr == nil {
-			derr = fold.Observe(rec)
-		}
-		if derr != nil {
-			torn, terr := tailBeyondRepair(f, validEnd)
-			if terr != nil {
-				return 0, 0, Ledger{}, terr
-			}
-			cerr := &CorruptError{Path: path, Offset: validEnd, Records: n, Torn: torn, Err: derr}
-			return 0, 0, Ledger{}, drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.open", cerr)
-		}
-		n++
-		validEnd = dec.InputOffset()
-	}
-}
-
-// tailBeyondRepair classifies the undecodable region starting at off:
-// true means it is a torn tail (no later line decodes into a valid
-// record, so truncating at off loses nothing), false means valid records
-// follow the damage and truncation would drop them.
-func tailBeyondRepair(f *os.File, off int64) (torn bool, err error) {
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return false, fmt.Errorf("logstore: seek: %w", err)
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	first := true
-	for sc.Scan() {
-		if first {
-			// The first line is (part of) the bad region itself.
-			first = false
-			continue
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if json.Unmarshal(line, &rec) == nil && rec.Validate() == nil {
-			return false, nil
-		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return false, fmt.Errorf("logstore: scanning tail: %w", err)
-	}
-	return true, nil
-}
-
-// RepairFile truncates a torn tail off a JSONL log, returning the number
-// of bytes removed. A clean log is left untouched (0, nil). Mid-log
-// corruption — valid records after the damaged region — is refused with
-// the scan's KindStoreCorrupt error, since truncating there would drop
-// real records. The truncation is fsynced so a repair survives power
-// loss.
-func RepairFile(path string) (removed int64, err error) {
-	_, _, _, serr := scanFile(path)
-	if serr == nil {
-		return 0, nil
-	}
-	var cerr *CorruptError
-	if !errors.As(serr, &cerr) || !cerr.Torn {
-		return 0, serr
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("logstore: open %s: %w", path, err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("logstore: stat %s: %w", path, err)
-	}
-	if err := f.Truncate(cerr.Offset); err != nil {
-		return 0, fmt.Errorf("logstore: truncate %s: %w", path, err)
-	}
-	// InputOffset stops just past the JSON value, before the newline the
-	// writer emitted; restore it so appends start on a fresh line.
-	if cerr.Offset > 0 {
-		if _, err := f.WriteAt([]byte("\n"), cerr.Offset); err != nil {
-			return 0, fmt.Errorf("logstore: terminating %s: %w", path, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return 0, fmt.Errorf("logstore: sync %s: %w", path, err)
-	}
-	removed = fi.Size() - cerr.Offset
-	if cerr.Offset > 0 {
-		removed-- // the newline written back
-	}
-	if removed < 0 {
-		removed = 0
-	}
-	return removed, nil
-}
-
-// Append implements Store. Like Mem, soundness-breaking debits are
-// refused with a KindLedgerUnsound error before anything is written.
-func (s *File) Append(r Record) error {
-	if err := r.Validate(); err != nil {
-		return drmerr.Wrap(drmerr.KindInvalidInput, "logstore.append", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ledger.Admit(r); err != nil {
-		return err
-	}
-	if err := s.enc.Encode(r); err != nil {
-		return fmt.Errorf("logstore: append: %w", err)
-	}
-	s.ledger.Apply(r)
-	s.n++
-	M.Appends.Inc()
-	return nil
-}
-
-// LedgerSnapshot implements LedgerReader. Buffered records are already
-// reflected: the ledger is maintained at append time.
-func (s *File) LedgerSnapshot() *Ledger {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ledger.Clone()
-}
-
-// Len implements Store.
-func (s *File) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Flush forces buffered records to the OS.
-func (s *File) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *File) flushLocked() error {
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("logstore: flush: %w", err)
-	}
-	M.Flushes.Inc()
-	return nil
-}
-
-// Close flushes and closes the underlying file. The store is unusable
-// afterwards.
-func (s *File) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		s.f.Close()
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("logstore: close: %w", err)
-	}
-	return nil
-}
-
-// ForEach implements Store by re-reading the file. Buffered records are
-// flushed first so the replay sees everything appended so far.
-func (s *File) ForEach(fn func(Record) error) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	return ReadFile(s.f.Name(), fn)
-}
-
-// ReadFile replays a JSONL log file produced by File (or WriteAll).
-// Undecodable content is classified exactly like OpenFile: the returned
-// KindStoreCorrupt error carries a *CorruptError naming the byte offset
-// and whether the damage is a repairable torn tail.
+// ReadFile replays the JSONL log at path through Read.
 func ReadFile(path string, fn func(Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("logstore: open %s: %w", path, err)
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	var validEnd int64
-	fold := NewFold(&Ledger{})
-	n := 0
-	for {
-		var rec Record
-		derr := dec.Decode(&rec)
-		if derr == io.EOF {
-			return nil
-		}
-		if derr == nil {
-			derr = rec.Validate()
-		}
-		if derr == nil {
-			derr = fold.Observe(rec)
-		}
-		if derr != nil {
-			torn, terr := tailBeyondRepair(f, validEnd)
-			if terr != nil {
-				return terr
-			}
-			cerr := &CorruptError{Path: path, Offset: validEnd, Records: n, Torn: torn, Err: derr}
-			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read", cerr)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		n++
-		validEnd = dec.InputOffset()
+	if err := Read(f, fn); err != nil {
+		return fmt.Errorf("logstore: reading %s: %w", path, err)
 	}
+	return nil
 }
 
 // Read replays JSONL records from r. Undecodable input, structurally
 // invalid persisted records, and soundness-breaking sequences surface
-// as KindStoreCorrupt errors — a log that fails replay is corrupt
-// state, not a caller mistake.
+// as KindStoreCorrupt errors carrying a *CorruptError — a log that fails
+// replay is corrupt state, not a caller mistake.
 func Read(r io.Reader, fn func(Record) error) error {
 	dec := json.NewDecoder(r)
 	fold := NewFold(&Ledger{})
-	for {
+	var valid int64
+	for n := 0; ; n++ {
 		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
+		err := dec.Decode(&rec)
+		if err == io.EOF {
 			return nil
-		} else if err != nil {
-			return drmerr.Wrapf(drmerr.KindStoreCorrupt, "logstore.read", err, "logstore: decode")
 		}
-		if err := rec.Validate(); err != nil {
-			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read", err)
+		if err == nil {
+			err = rec.Validate()
 		}
-		if err := fold.Observe(rec); err != nil {
-			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read", err)
+		if err == nil {
+			err = fold.Observe(rec)
+		}
+		if err != nil {
+			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read",
+				&CorruptError{Offset: valid, Records: n, Err: err})
 		}
 		if err := fn(rec); err != nil {
 			return err
 		}
+		valid = dec.InputOffset()
 	}
 }
 
-// WriteAll writes records as JSONL to w — the bulk counterpart of File
-// for workload generators. The sequence must be sound (every debit
+// WriteAll writes records as JSONL to w, for workload generators and
+// offline interchange. The sequence must be sound (every debit
 // covered by prior credits), since an unsound log would be refused on
 // replay.
 func WriteAll(w io.Writer, records []Record) error {

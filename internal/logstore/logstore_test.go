@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -115,86 +114,6 @@ func TestCompactPreservesTotalQuick(t *testing.T) {
 	}
 }
 
-func TestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Record{
-		{Set: bitset.MaskOf(0, 1), Count: 800},
-		{Set: bitset.MaskOf(4), Count: 20},
-	}
-	for _, r := range want {
-		if err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ForEach flushes implicitly.
-	var got []Record
-	if err := s.ForEach(func(r Record) error { got = append(got, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("replay = %+v, want %+v", got, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFileReopenCountsExisting(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := s.Append(Record{Set: bitset.MaskOf(i), Count: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("reopened Len = %d, want 3", s2.Len())
-	}
-	if err := s2.Append(Record{Set: bitset.MaskOf(9), Count: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 4 {
-		t.Errorf("Len after append = %d, want 4", s2.Len())
-	}
-	recs, err := Collect(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Errorf("Collect = %d records, want 4", len(recs))
-	}
-}
-
-func TestFileRejectsInvalid(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Append(Record{Set: 0, Count: 1}); err == nil {
-		t.Error("invalid record accepted")
-	}
-	if s.Len() != 0 {
-		t.Error("invalid record counted")
-	}
-}
-
 func TestReadRejectsCorrupt(t *testing.T) {
 	err := Read(bytes.NewBufferString("{\"set\":3,\"count\":5}\nnot json\n"),
 		func(Record) error { return nil })
@@ -231,107 +150,5 @@ func TestWriteAllRejectsInvalid(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, []Record{{Set: 0, Count: 1}}); err == nil {
 		t.Error("invalid record written")
-	}
-}
-
-func TestFileMemEquivalenceQuick(t *testing.T) {
-	// Property: a File store replays exactly what a Mem store holds after
-	// the same appends (invariant 9 in DESIGN.md).
-	dir := t.TempDir()
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		path := filepath.Join(dir, "q.jsonl")
-		os.Remove(path)
-		fs, err := OpenFile(path)
-		if err != nil {
-			return false
-		}
-		defer fs.Close()
-		mem := NewMem(0)
-		for i := 0; i < 1+r.Intn(40); i++ {
-			rec := Record{Set: bitset.Mask(1 + r.Intn(1<<10)), Count: int64(1 + r.Intn(30))}
-			if mem.Append(rec) != nil || fs.Append(rec) != nil {
-				return false
-			}
-		}
-		got, err := Collect(fs)
-		if err != nil {
-			return false
-		}
-		want := mem.Records()
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompactFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 records over 3 distinct sets.
-	sets := []bitset.Mask{bitset.MaskOf(0, 1), bitset.MaskOf(1), bitset.MaskOf(2)}
-	var total int64
-	for i := 0; i < 100; i++ {
-		c := int64(1 + i%7)
-		if err := s.Append(Record{Set: sets[i%3], Count: c}); err != nil {
-			t.Fatal(err)
-		}
-		total += c
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, after, err := CompactFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before != 100 || after != 3 {
-		t.Errorf("compacted %d → %d, want 100 → 3", before, after)
-	}
-	// Totals preserved, per set.
-	var back []Record
-	if err := ReadFile(path, func(r Record) error { back = append(back, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, r := range back {
-		sum += r.Count
-	}
-	if sum != total {
-		t.Errorf("total = %d, want %d", sum, total)
-	}
-	// The compacted log can be appended to again.
-	s2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("reopened Len = %d, want 3", s2.Len())
-	}
-}
-
-func TestCompactFileErrors(t *testing.T) {
-	if _, _, err := CompactFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Error("missing file accepted")
-	}
-	path := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := CompactFile(path); err == nil {
-		t.Error("corrupt log accepted")
 	}
 }

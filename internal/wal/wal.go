@@ -6,8 +6,8 @@
 // Motivation (DESIGN.md §8): the paper's aggregate validation replays the
 // entire offline issuance log to rebuild the validation tree, so at
 // production scale log durability and restart time become the bottleneck.
-// The JSONL logstore.File is buffered with no fsync, no checksums, and no
-// torn-tail handling, and every open replays O(issued licenses). This
+// It is the only store a serving process opens: drmserver and
+// internal/catalog refuse a JSONL log with a MigrationError. This
 // store holds no per-record history in memory: the lifecycle ledger
 // (logstore.Ledger, per-set net counts) is its only in-memory copy of the
 // log, so memory and every replay are O(distinct sets), and restart work
@@ -49,9 +49,8 @@
 //     the report an uninterrupted store holding that prefix produces
 //     (crash_test.go proves this at every injected failure offset).
 //
-// Store implements logstore.Store (and logstore.Durable), so the engine,
-// catalog, server, and CLI tools use it interchangeably with the JSONL
-// backend.
+// Store implements logstore.Store, so the engine replays it like any
+// other log.
 package wal
 
 import (
@@ -215,6 +214,22 @@ type Store struct {
 	compactWG sync.WaitGroup
 
 	rec RecoveryStats
+}
+
+// MigrationError refuses a JSONL issuance log where a serving process
+// expects a WAL directory. The server converts nothing and leaves the
+// file as it is; the error names the drmaudit run that migrates the log
+// into a WAL directory the server can open.
+type MigrationError struct {
+	// Corpus is the corpus document the log belongs to, Log the JSONL
+	// file, and WAL the directory to migrate it into.
+	Corpus, Log, WAL string
+}
+
+// Error implements error.
+func (e *MigrationError) Error() string {
+	return fmt.Sprintf("wal: %s is a JSONL issuance log, and servers open only WAL directories; "+
+		"migrate it with: drmaudit -corpus %s -log %s -migrate-wal %s", e.Log, e.Corpus, e.Log, e.WAL)
 }
 
 // Open opens (creating if needed) the WAL in dir and recovers its state:
@@ -855,11 +870,6 @@ func (s *Store) ForEach(fn func(logstore.Record) error) error {
 	}
 	return nil
 }
-
-// Flush implements logstore.Durable. WAL appends are write-through to
-// the OS (there is no user-space buffer), so Flush has nothing to do;
-// durability against power loss is Sync's job.
-func (s *Store) Flush() error { return nil }
 
 // LedgerSnapshot implements logstore.LedgerReader.
 func (s *Store) LedgerSnapshot() *logstore.Ledger {

@@ -15,8 +15,8 @@ import (
 	"repro/internal/logstore"
 )
 
-// Store must satisfy the durable log-store contract.
-var _ logstore.Durable = (*Store)(nil)
+// Store must satisfy the log-store contract the engine replays through.
+var _ logstore.Store = (*Store)(nil)
 
 // testRecords builds n deterministic valid records over an 8-license
 // universe, with enough set variety that compaction has work to do.
