@@ -57,7 +57,7 @@ type issueRow struct {
 // issueWorkload builds the shared fixture for one ablation point: a
 // corpus, a prior log of about `priors` records, the measured op stream,
 // and budgets topped up far enough that every measured admission is an
-// accept — the expensive path (check + reservation + append) on both arms.
+// accept — the expensive path (check + apply + append) on both arms.
 type issueFixture struct {
 	n        int
 	corpus   *license.Corpus
@@ -169,8 +169,7 @@ func benchIssueFull(f *issueFixture, ops int) (build time.Duration, lat []time.D
 }
 
 // benchIssueCached measures the cached path: warm the headroom cache
-// from the priors, then per op Admit (push + keep the count), append,
-// Confirm.
+// from the priors, then per op Admit (push + keep the count) and append.
 func benchIssueCached(f *issueFixture, ops int) (build time.Duration, lat []time.Duration, err error) {
 	log, err := f.priorLog()
 	if err != nil {
@@ -197,7 +196,6 @@ func benchIssueCached(f *issueFixture, ops int) (build time.Duration, lat []time
 		if err := log.Append(logstore.Record{Set: set, Count: count}); err != nil {
 			return 0, nil, err
 		}
-		cache.Confirm()
 		lat[i] = time.Since(o)
 	}
 	return build, lat, nil

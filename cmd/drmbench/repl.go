@@ -43,7 +43,8 @@ type replRow struct {
 	// FetchNS, IngestNS and ApplyNS split ConvergeNS: the wire (request
 	// sent until the follower has read the body whole), the WAL ingest
 	// with the follower's window checks (the remainder), and the
-	// distributor's ApplyReplicated.
+	// distributor's fold of the records (ApplyReplicated less its
+	// landing).
 	FetchNS  int64 `json:"fetch_ns"`
 	IngestNS int64 `json:"ingest_ns"`
 	ApplyNS  int64 `json:"apply_ns"`
@@ -183,10 +184,18 @@ func catchUp(url, dir string, corpus *license.Corpus, n, window int) (*replCatch
 		Client:   &http.Client{Transport: clock},
 		Store:    store,
 		MaxBytes: window,
-		Apply: func(ctx context.Context, rs []logstore.Record) {
+		Apply: func(ctx context.Context, land func() ([]logstore.Record, error)) ([]logstore.Record, error) {
+			// The distributor lands and folds in one step; time the
+			// landing apart, so ApplyNS stays the fold alone.
+			var landed time.Duration
 			start := time.Now()
-			d.ApplyReplicated(ctx, rs)
-			c.apply += time.Since(start)
+			rs, err := d.ApplyReplicated(ctx, func() ([]logstore.Record, error) {
+				ls := time.Now()
+				defer func() { landed = time.Since(ls) }()
+				return land()
+			})
+			c.apply += time.Since(start) - landed
+			return rs, err
 		},
 	})
 	if err != nil {

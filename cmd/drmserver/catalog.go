@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"sort"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/drmerr"
@@ -12,12 +11,10 @@ import (
 )
 
 // catalogServer is the multi-content mode: every catalog entry is served
-// at /v1/c/{content}/{perm}/..., plus a listing endpoint. One RWMutex
-// covers the whole catalog (entries share log files only per entry, but
-// the simplicity is worth more than per-entry locking at this scale);
-// read-only endpoints across different entries proceed concurrently.
+// at /v1/c/{content}/{perm}/..., plus a listing endpoint. It takes no
+// lock: the catalog's entries and corpora are fixed once it is opened,
+// and each entry's Distributor serialises its own writes.
 type catalogServer struct {
-	mu      sync.RWMutex
 	cat     *catalog.Catalog
 	workers int
 	obs     *serverObs
@@ -26,16 +23,12 @@ type catalogServer struct {
 func newCatalogServer(cat *catalog.Catalog, workers int) *catalogServer {
 	s := &catalogServer{cat: cat, workers: workers}
 	s.obs = newServerObs(func() error {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 		if s.cat.Len() == 0 {
 			return errors.New("catalog empty")
 		}
 		return nil
 	})
 	s.obs.info = func() serviceStatus {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 		st := serviceStatus{Name: "drmserver", Mode: s.cat.Mode().String(), Entries: s.cat.Len()}
 		for _, e := range s.cat.Entries() {
 			st.Licenses += e.Corpus.Len()
@@ -45,8 +38,6 @@ func newCatalogServer(cat *catalog.Catalog, workers int) *catalogServer {
 		return st
 	}
 	s.obs.walBacklog = func() int64 {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 		var total int64
 		for _, e := range s.cat.Entries() {
 			total += e.Log.Backlog()
@@ -84,9 +75,7 @@ type snapshotAllEntry struct {
 
 // handleSnapshotAll checkpoints every entry's log.
 func (s *catalogServer) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
 	infos, err := s.cat.SnapshotAll()
-	s.mu.RUnlock()
 	if err != nil {
 		writeError(r.Context(), w, err)
 		return
@@ -118,15 +107,13 @@ func (s *catalogServer) entry(h func(corpusAPI, http.ResponseWriter, *http.Reque
 	return func(w http.ResponseWriter, r *http.Request) {
 		content := r.PathValue("content")
 		perm := license.Permission(r.PathValue("perm"))
-		s.mu.RLock()
 		e := s.cat.Get(content, perm)
-		s.mu.RUnlock()
 		if e == nil {
 			writeError(r.Context(), w, drmerr.New(drmerr.KindNotFound, "drmserver",
 				"no corpus for (%s, %s)", content, perm))
 			return
 		}
-		api := corpusAPI{mu: &s.mu, corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.Log}
+		api := corpusAPI{corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.Log}
 		t := s.obs.slo.Entry(content + "/" + string(perm))
 		entryObserved(t, func(w http.ResponseWriter, r *http.Request) { h(api, w, r) })(w, r)
 	}
@@ -145,7 +132,6 @@ type contentEntry struct {
 }
 
 func (s *catalogServer) handleContents(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
 	var body contentsBody
 	for _, e := range s.cat.Entries() {
 		body.Contents = append(body.Contents, contentEntry{
@@ -156,6 +142,5 @@ func (s *catalogServer) handleContents(w http.ResponseWriter, r *http.Request) {
 			LogRecords: e.Log.Len(),
 		})
 	}
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, body)
 }

@@ -4,8 +4,9 @@
 //   - leader: standalone plus the replication endpoints (/v1/repl/wal,
 //     /v1/repl/snapshot) any single-corpus server can serve;
 //   - follower: a read-only replica tailing -leader's WAL into its own
-//     -log directory through the ordinary recovery path, keeping stats
-//     and the headroom cache warm via engine.ApplyReplicated, serving
+//     -log directory through the ordinary recovery path, landing each
+//     window and keeping stats and the headroom cache warm in one step
+//     via engine.ApplyReplicated, serving
 //     audits/headroom/status live, refusing writes with typed 403s, and
 //     flipping to leader on POST /v1/promote;
 //   - router: a corpus-less front tier forwarding each request to the
@@ -142,10 +143,10 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}{Role: cluster.RoleLeader, Already: already, Lag: lag})
 }
 
-// applyReplicated folds freshly shipped records into the current
-// distributor's derived state.
-func (s *server) applyReplicated(ctx context.Context, recs []logstore.Record) {
-	s.currentAPI().dist.ApplyReplicated(ctx, recs)
+// applyReplicated lands a shipped window and folds its records into the
+// current distributor's derived state, under the distributor's mutex.
+func (s *server) applyReplicated(ctx context.Context, land func() ([]logstore.Record, error)) ([]logstore.Record, error) {
+	return s.currentAPI().dist.ApplyReplicated(ctx, land)
 }
 
 // resetMirror is the follower's re-bootstrap path: the leader compacted

@@ -1,7 +1,7 @@
 // Lifecycle endpoints: the typed ledger's revoke / transfer / expire
 // operations over HTTP, plus the background expiry sweeper. Handlers
-// mirror handleIssue — resolve the rectangle, take the corpus write
-// lock, run the engine operation (WAL-durable, cache-mirrored), map
+// mirror handleIssue — resolve the rectangle, run the engine operation
+// (WAL-durable, cache-mirrored, serialised by the distributor), map
 // taxonomy errors to their HTTP statuses (409 ledger_unsound for a
 // debit the store refused, 422 instance-invalid, ...).
 
@@ -85,9 +85,7 @@ func (s corpusAPI) handleRevoke(w http.ResponseWriter, r *http.Request) {
 		clientError(r.Context(), w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.mu.Lock()
 	set, err := s.dist.RevokeContext(r.Context(), rect, req.Count)
-	s.mu.Unlock()
 	writeLifecycle(r.Context(), w, "revoke", set, req.Count, err)
 }
 
@@ -104,9 +102,7 @@ func (s corpusAPI) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		clientError(r.Context(), w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.mu.Lock()
 	set, err := s.dist.TransferContext(r.Context(), rect, req.Count)
-	s.mu.Unlock()
 	writeLifecycle(r.Context(), w, "transfer", set, req.Count, err)
 }
 
@@ -130,9 +126,7 @@ func (s corpusAPI) handleExpire(w http.ResponseWriter, r *http.Request) {
 	if req.Now > 0 {
 		now = time.Unix(req.Now, 0)
 	}
-	s.mu.Lock()
 	res, err := s.dist.ExpireSweep(r.Context(), now)
-	s.mu.Unlock()
 	if err != nil {
 		writeError(r.Context(), w, err)
 		return
@@ -164,9 +158,7 @@ func startSweeper(interval time.Duration, sweep func(context.Context)) (stop fun
 
 // sweepExpired is the single-corpus sweeper tick.
 func (s *server) sweepExpired(ctx context.Context) {
-	s.api.mu.Lock()
-	res, err := s.api.dist.ExpireSweep(ctx, time.Now())
-	s.api.mu.Unlock()
+	res, err := s.currentAPI().dist.ExpireSweep(ctx, time.Now())
 	if err != nil && !drmerr.IsCancellation(err) {
 		logger.Error("expiry sweep failed", "err", err)
 		return
@@ -178,8 +170,6 @@ func (s *server) sweepExpired(ctx context.Context) {
 
 // sweepExpired is the catalog-mode sweeper tick: one sweep per entry.
 func (s *catalogServer) sweepExpired(ctx context.Context) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, e := range s.cat.Entries() {
 		res, err := e.Dist.ExpireSweep(ctx, time.Now())
 		if err != nil {

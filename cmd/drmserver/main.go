@@ -485,20 +485,17 @@ func serve(addr string, handler http.Handler, o *serverObs) error {
 	}
 }
 
-// corpusAPI serves one (content, permission) corpus. A reader/writer lock
-// guards the Distributor: issuance mutates (log append, online tree
-// insert) and takes the write lock; the read-only endpoints — corpus,
-// groups, stats, audit — share a read lock, so concurrent validations and
-// report fetches no longer serialise behind each other. In catalog mode
-// all entries share the catalog's lock.
+// corpusAPI serves one (content, permission) corpus. It takes no lock:
+// the corpus never changes once the server is built, and the
+// Distributor is the one writer of its log and derived state — its own
+// mutex serialises writes, headroom reads and an audit's view of the
+// log, while the audit's equation walk runs beside writes.
 type corpusAPI struct {
-	mu      *sync.RWMutex
 	corpus  *license.Corpus
 	dist    *engine.Distributor
 	workers int
 	// wal is the entry's log. The store synchronises snapshots
-	// internally, so handleSnapshot does not take mu — appends proceed
-	// during a snapshot.
+	// internally, so appends proceed during a snapshot.
 	wal *wal.Store
 }
 
@@ -550,7 +547,7 @@ func newServer(corpus *license.Corpus, store *wal.Store, mode engine.Mode, worke
 		return nil
 	})
 	srv := &server{
-		api:  corpusAPI{mu: &sync.RWMutex{}, corpus: corpus, dist: d, workers: workers, wal: store},
+		api:  corpusAPI{corpus: corpus, dist: d, workers: workers, wal: store},
 		repl: cluster.NewLeader(store, 0),
 		obs:  o,
 		role: cluster.RoleStandalone,
@@ -646,8 +643,6 @@ func writeError(ctx context.Context, w http.ResponseWriter, err error) {
 }
 
 func (s corpusAPI) handleCorpus(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")
 	if err := license.EncodeCorpus(w, s.corpus); err != nil {
 		logger.Error("encoding corpus", "err", err)
@@ -660,8 +655,6 @@ type groupsBody struct {
 }
 
 func (s corpusAPI) handleGroups(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	gr := overlap.GroupsOf(s.corpus)
 	body := groupsBody{Gain: core.Gain(gr)}
 	for _, g := range gr.Groups {
@@ -721,7 +714,6 @@ func (s corpusAPI) handleIssue(w http.ResponseWriter, r *http.Request) {
 	if expiry == 0 && req.TTLSeconds > 0 {
 		expiry = time.Now().Unix() + req.TTLSeconds
 	}
-	s.mu.Lock()
 	var issued *license.License
 	if expiry > 0 {
 		issued, err = s.dist.IssueTTLContext(r.Context(), kind, rect, req.Count, expiry)
@@ -735,7 +727,6 @@ func (s corpusAPI) handleIssue(w http.ResponseWriter, r *http.Request) {
 			return true
 		})
 	}
-	s.mu.Unlock()
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, issueResponse{
@@ -768,7 +759,6 @@ type statsResponse struct {
 }
 
 func (s corpusAPI) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
 	st := s.dist.Stats()
 	body := statsResponse{
 		Licenses:          s.corpus.Len(),
@@ -784,14 +774,10 @@ func (s corpusAPI) handleStats(w http.ResponseWriter, r *http.Request) {
 		Transferred:       st.Transferred,
 		TransferredCounts: st.TransferredCounts,
 	}
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, body)
 }
 
 type headroomResponse struct {
-	// Pending counts admissions applied to the cache whose log appends
-	// have not confirmed yet (transiently non-zero under load).
-	Pending int64 `json:"pending"`
 	// Groups is the per-group state of the kept flow: observed sets, the
 	// minimum remaining slack, the deficit and the rejections.
 	Groups []headroom.GroupSummary `json:"groups"`
@@ -799,18 +785,15 @@ type headroomResponse struct {
 
 // handleHeadroom is the admission-cache debug endpoint: per-group
 // min-slack summaries straight from the cache the hot path reads. The
-// read lock excludes log appends, so a first call may warm the cache
-// from a consistent log view.
+// distributor reads them under its mutex, so a first call may warm the
+// cache from a consistent log view.
 func (s corpusAPI) handleHeadroom(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
 	sums, err := s.dist.HeadroomSummaries(r.Context())
-	pending := s.dist.HeadroomPending()
-	s.mu.RUnlock()
 	if err != nil {
 		writeError(r.Context(), w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, headroomResponse{Pending: pending, Groups: sums})
+	writeJSON(w, http.StatusOK, headroomResponse{Groups: sums})
 }
 
 // handleSnapshot checkpoints the log on demand: fsync, compact the
@@ -841,11 +824,9 @@ type auditResponse struct {
 }
 
 func (s corpusAPI) handleAudit(w http.ResponseWriter, r *http.Request) {
-	// Auditing builds its own tree from corpus + log and mutates neither,
-	// so concurrent audits (and other reads) proceed in parallel.
-	s.mu.RLock()
+	// Auditing builds its own tree from corpus + log and mutates neither;
+	// writes wait only for its replay and cache checks, not its walk.
 	rep, aud, err := s.dist.AuditContext(r.Context(), s.workers)
-	s.mu.RUnlock()
 	if err != nil && !errors.Is(err, drmerr.ErrAuditIncomplete) {
 		writeError(r.Context(), w, err)
 		return

@@ -258,9 +258,10 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadsAndIssues hammers the read-locked endpoints (corpus,
-// groups, stats, audit) while issuances take the write lock, so the race
-// detector can vet the RWMutex discipline end to end.
+// TestConcurrentReadsAndIssues hammers the read endpoints (corpus,
+// groups, stats, audit) while issuances run, so the race detector can
+// vet end to end that the lock-free handlers only read what never
+// changes and leave the rest to the distributor.
 func TestConcurrentReadsAndIssues(t *testing.T) {
 	ts, ex := newTestServer(t, engine.ModeOffline)
 	var wg sync.WaitGroup
@@ -301,4 +302,111 @@ func TestConcurrentReadsAndIssues(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestConcurrentWritesAuditsAndHeadroom runs online issues and revokes
+// beside /v1/audit, /v1/headroom and /v1/stats, with no lock in the
+// server: the distributor serialises its own writes. Every read answers
+// 200, every audit is clean, no headroom divergence is counted, and the
+// final audit body equals a fresh distributor's over the same WAL. Run
+// it with -race.
+func TestConcurrentWritesAuditsAndHeadroom(t *testing.T) {
+	srv, ex := testServer(t, engine.ModeOnline)
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	u2 := ex.Usage2.Rect
+	iv := u2.Value(0).Interval()
+	lo, hi := iv.Lo, iv.Hi
+	values := [][]license.ValueDoc{
+		usageValues(ex),
+		{{Lo: &lo, Hi: &hi}, {Set: u2.Value(1).Set().Elems()}},
+	}
+	post := func(path string, body any) int {
+		b, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var writers, readers sync.WaitGroup
+	for w := range 3 {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for j := range 15 {
+				v := values[(w+j)%len(values)]
+				if w == 2 {
+					// 409: nothing left to revoke for the set yet.
+					if code := post("/v1/revoke", lifecycleRequest{Values: v, Count: 2}); code != http.StatusOK && code != http.StatusConflict {
+						t.Errorf("revoke status %d", code)
+					}
+					continue
+				}
+				if code := post("/v1/issue", issueRequest{Values: v, Count: int64(5 + j)}); code != http.StatusOK {
+					t.Errorf("issue status %d", code)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	for _, p := range []string{"/v1/audit", "/v1/headroom", "/v1/stats"} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					if n >= 3 {
+						return
+					}
+				default:
+				}
+				resp, err := http.Get(ts.URL + p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var body struct {
+					OK *bool `json:"ok"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || (body.OK != nil && !*body.OK) {
+					t.Errorf("GET %s: status %d, ok %v, %v", p, resp.StatusCode, body.OK, err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if got := scrape(t, ts.URL+"/metrics")["drm_headroom_divergence_total"]; got != 0 {
+		t.Fatalf("headroom divergence = %v", got)
+	}
+
+	audit := func(h http.Handler) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/audit", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("audit status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	api := srv.currentAPI()
+	fresh, err := buildDistributor(api.corpus, api.wal, engine.ModeOnline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshAPI := corpusAPI{corpus: api.corpus, dist: fresh, workers: api.workers, wal: api.wal}
+	got, want := audit(srv.routes()), audit(http.HandlerFunc(freshAPI.handleAudit))
+	if got != want {
+		t.Fatalf("final audit\n%s\na fresh distributor over the same WAL\n%s", got, want)
+	}
+	if st := api.dist.Stats(); st.Issued == 0 {
+		t.Fatalf("no issue landed: %+v", st)
+	}
 }

@@ -46,7 +46,6 @@ func (g *groupedAllocator) Allocate(set bitset.Mask, count int64) error {
 	if !ok {
 		return fmt.Errorf("%w: count %d exceeds grouped headroom %d", baseline.ErrRejected, count, room)
 	}
-	g.cache.Confirm()
 	return nil
 }
 

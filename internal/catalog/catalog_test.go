@@ -98,9 +98,14 @@ func TestReopenResumesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Issue 60 of the 100 budget, then close.
-	if _, err := e.Dist.Issue(license.Usage, usageRect(t, corpus, 1, 3), 60); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "movie-2__play.wal")); err != nil {
+		t.Fatalf("WAL dir missing: %v", err)
+	}
+	// Issue 60 of the 100 budget in three records, then close.
+	for i := 0; i < 3; i++ {
+		if _, err := e.Dist.Issue(license.Usage, usageRect(t, corpus, 1, 3), 20); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -118,6 +123,9 @@ func TestReopenResumesState(t *testing.T) {
 	e2 := c2.Get("movie-2", license.Play)
 	if e2 == nil {
 		t.Fatal("entry lost across reopen")
+	}
+	if e2.Log.Len() != 3 {
+		t.Errorf("reopened log Len = %d, want 3", e2.Log.Len())
 	}
 	r := usageRect(t, e2.Corpus, 1, 3)
 	if _, err := e2.Dist.Issue(license.Usage, r, 41); !errors.Is(err, engine.ErrAggregateExhausted) {

@@ -15,8 +15,25 @@ import (
 	"repro/internal/wal"
 )
 
+// TestWALBackendReopenResumesState: records issued after a reopen append to
+// the replayed WAL, so a second reopen sees both generations and the budget
+// they spent together. TestReopenResumesState covers a single reopen.
 func TestWALBackendReopenResumesState(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cat")
+	reopen := func() (*Catalog, *Entry) {
+		t.Helper()
+		c, err := Open(dir, engine.ModeOnline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := c.Get("m", license.Play)
+		if e == nil {
+			c.Close()
+			t.Fatal("entry lost on reopen")
+		}
+		return c, e
+	}
+
 	c, err := Open(dir, engine.ModeOnline)
 	if err != nil {
 		t.Fatal(err)
@@ -25,9 +42,6 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 	e, err := c.Add(corpus)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "m__play.wal")); err != nil {
-		t.Fatalf("WAL dir missing: %v", err)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := e.Dist.Issue(license.Usage, usageRect(t, corpus, 1, 3), 20); err != nil {
@@ -38,25 +52,25 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := Open(dir, engine.ModeOnline)
-	if err != nil {
+	// Second generation: spend the 40 left on the reopened log.
+	c2, e2 := reopen()
+	if e2.Log.Len() != 3 {
+		t.Errorf("first reopen: log Len = %d, want 3", e2.Log.Len())
+	}
+	if _, err := e2.Dist.Issue(license.Usage, usageRect(t, e2.Corpus, 1, 3), 40); err != nil {
+		t.Errorf("remaining budget rejected after WAL reopen: %v", err)
+	}
+	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	e2 := c2.Get("m", license.Play)
-	if e2 == nil {
-		t.Fatal("entry lost on reopen")
+
+	c3, e3 := reopen()
+	defer c3.Close()
+	if e3.Log.Len() != 4 {
+		t.Errorf("second reopen: log Len = %d, want 4", e3.Log.Len())
 	}
-	if e2.Log.Len() != 3 {
-		t.Errorf("reopened log Len = %d, want 3", e2.Log.Len())
-	}
-	// 100 − 60 issued leaves 40 of headroom: online mode enforces it.
-	r := usageRect(t, e2.Corpus, 1, 3)
-	if _, err := e2.Dist.Issue(license.Usage, r, 41); err == nil {
-		t.Error("over-issuance accepted after WAL reopen")
-	}
-	if _, err := e2.Dist.Issue(license.Usage, r, 40); err != nil {
-		t.Errorf("exact headroom rejected after WAL reopen: %v", err)
+	if _, err := e3.Dist.Issue(license.Usage, usageRect(t, e3.Corpus, 1, 3), 1); !errors.Is(err, engine.ErrAggregateExhausted) {
+		t.Errorf("expected exhaustion after second WAL reopen, got %v", err)
 	}
 }
 

@@ -223,8 +223,10 @@ func TestFailoverAckedSubsetOfPromoted(t *testing.T) {
 			Leader:   srv.URL,
 			Store:    fstore,
 			MaxBytes: 128, // small windows: many round-trips per segment
-			Apply: func(_ context.Context, rs []logstore.Record) {
+			Apply: func(_ context.Context, land func() ([]logstore.Record, error)) ([]logstore.Record, error) {
+				rs, err := land()
 				applied = append(applied, rs...)
+				return rs, err
 			},
 		})
 		if err != nil {

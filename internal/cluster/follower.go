@@ -1,9 +1,10 @@
 // Follower side of log shipping: a fetch loop that tails the leader's
-// WAL from the local durable watermark, ingests each window byte for
-// byte (wal.IngestFrames), and hands the decoded records to an apply
-// callback, before it publishes the new cursor, so the serving layer
-// keeps its derived state — stats and the headroom admission cache —
-// warm without replaying the log. A follower whose cursor fell below
+// WAL from the local durable watermark and hands each window to an apply
+// callback, which ingests it byte for byte (wal.IngestFrames) and folds
+// the decoded records as one step, before the new cursor is published.
+// So the serving layer keeps its derived state — stats and the headroom
+// admission cache — warm without replaying the log, and no reader sees
+// a window landed but not folded. A follower whose cursor fell below
 // the leader's snapshot watermark (410 Gone) re-bootstraps: it fetches
 // the leader's snapshot + watermark prefix and asks the server to
 // rebuild its store from it.
@@ -50,9 +51,12 @@ type FollowerConfig struct {
 	// the follower unready (0 disables each bound).
 	MaxLagSeqs int64
 	MaxLagAge  time.Duration
-	// Apply folds freshly ingested records into derived state
-	// (engine.Distributor.ApplyReplicated on the server); may be nil.
-	Apply func(ctx context.Context, recs []logstore.Record)
+	// Apply lands a window and folds it into derived state as one step:
+	// it calls land, which checks the window and ingests it into Store,
+	// folds the decoded records land returns, and returns land's result
+	// (engine.Distributor.ApplyReplicated on the server, which runs both
+	// under the distributor's mutex). Nil lands windows alone.
+	Apply func(ctx context.Context, land func() ([]logstore.Record, error)) ([]logstore.Record, error)
 	// Reset rebuilds the local mirror from a leader bootstrap document
 	// after compaction outran the cursor: close the old store, reinstall
 	// (see ReinstallStore), rebuild derived state, return the new store.
@@ -239,15 +243,18 @@ func (f *Follower) fetchLocked(ctx context.Context) (int, error) {
 	if M.FetchSeconds != nil {
 		M.FetchSeconds.Observe(time.Since(start).Seconds())
 	}
-	recs, err := land(store, w)
+	// Apply before publishing: a reader that sees the new seq (role,
+	// lag, readiness) must also see its records in stats and headroom.
+	landed := func() ([]logstore.Record, error) { return land(store, w) }
+	var recs []logstore.Record
+	if f.cfg.Apply != nil {
+		recs, err = f.cfg.Apply(ctx, landed)
+	} else {
+		recs, err = landed()
+	}
 	if err != nil {
 		M.FetchErrors.Inc()
 		return 0, err
-	}
-	// Apply before publishing: a reader that sees the new seq (role,
-	// lag, readiness) must also see its records in stats and headroom.
-	if len(recs) > 0 && f.cfg.Apply != nil {
-		f.cfg.Apply(ctx, recs)
 	}
 	M.AppliedRecords.Add(int64(len(recs)))
 	f.mu.Lock()

@@ -317,9 +317,9 @@ func TestFollowerRefusesOtherWireFormat(t *testing.T) {
 	}
 }
 
-// TestFollowerPublishesAfterApply: while Apply is still running, the
-// follower keeps reporting the old seq; it reports the window's seq
-// only once Apply has returned.
+// TestFollowerPublishesAfterApply: while Apply is still running — the
+// window landed, the fold not done — the follower keeps reporting the
+// old seq; it reports the window's seq only once Apply has returned.
 func TestFollowerPublishesAfterApply(t *testing.T) {
 	lstore, recs := mixedLeader(t, t.TempDir(), 5)
 	srv := leaderServer(t, lstore)
@@ -331,9 +331,11 @@ func TestFollowerPublishesAfterApply(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	f, err := NewFollower(FollowerConfig{
 		Leader: srv.URL, Store: fstore,
-		Apply: func(context.Context, []logstore.Record) {
+		Apply: func(_ context.Context, land func() ([]logstore.Record, error)) ([]logstore.Record, error) {
+			rs, err := land()
 			close(entered)
 			<-release
+			return rs, err
 		},
 	})
 	if err != nil {

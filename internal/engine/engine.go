@@ -13,16 +13,18 @@
 //     immediately against the incrementally maintained headroom cache
 //     (internal/headroom), so violations are rejected at issue time
 //     (loss-free, Example 1's desired behaviour) without walking the
-//     validation tree — admission is a push on the group's kept maximum
+//     validation tree — admission is a push on the corpus's kept maximum
 //     flow, and batch audits cross-check the cache afterwards;
 //   - in ModeOffline issuances are only logged — the paper's operating
 //     point, where "violation of aggregate constraints is not a frequent
 //     event" and auditing happens in batch via the geometric validator.
 //
-// Issue, Audit, Stats, and the headroom queries are safe for concurrent
-// use; corpus mutations (AddRedistribution, TopUp) require external
-// exclusion against in-flight issuances, matching how drmserver holds
-// its corpus write lock.
+// Writes, audits, Stats and the headroom queries are safe for concurrent
+// use: each distributor's mutex serialises its writes (append and fsync
+// included), its cache reads, and an audit's view of the log; the
+// audit's equation walk runs outside it. Corpus mutations
+// (AddRedistribution, TopUp) require external exclusion: instance
+// validation and the corpus readers take no lock.
 //
 // A Network is a directory of distributors keyed by (distributor, content,
 // permission), so multi-party scenarios read naturally in the examples.
@@ -114,9 +116,9 @@ type Stats struct {
 }
 
 // Distributor manages one (content, permission) license corpus and its
-// issuance log. Issuance, audits, stats, and headroom queries are safe
-// for concurrent use (given a concurrency-safe log store — Mem and the
-// WAL both are); corpus mutations require external exclusion.
+// issuance log. Writes, audits, stats and headroom queries are safe for
+// concurrent use (see the package comment); corpus mutations require
+// external exclusion.
 type Distributor struct {
 	name    string
 	mode    Mode
@@ -125,22 +127,15 @@ type Distributor struct {
 	index   *rtree.Tree
 	log     logstore.Store
 
-	// mu guards the cache pointer and its freshness flags. cacheDirty
-	// marks a corpus change (rebuild from the cache's retained counts —
-	// no log replay); cacheStale marks log appends the cache never saw
-	// (offline issuance after a headroom query — full replay). Building
-	// lazily keeps the catalog-reopen path — corpus loaded license by
-	// license over a pre-existing log — to a single warm-up replay.
+	// mu makes the distributor the one writer of its log and cache: every
+	// mutation (a replicated window's land and fold too), cache read and
+	// audit view of the log runs under it. cacheStale marks appends the
+	// cache never saw — offline ones, or a cache refusal after a durable
+	// append — and the next use replays the log. Building lazily keeps
+	// the catalog-reopen path to a single warm-up replay.
 	mu         sync.Mutex
 	cache      *headroom.Cache
-	cacheDirty bool
 	cacheStale bool
-
-	// sweepMu serialises expiry sweeps: the schedule is read from a
-	// ledger snapshot, so two concurrent sweeps over the same snapshot
-	// would both try to debit the same due buckets (the store would
-	// refuse the second as unsound — correct but noisy).
-	sweepMu sync.Mutex
 
 	// transferCap bounds the cumulative per-set transfer total (0 =
 	// unlimited). Policy, not ledger soundness: enforced only on the
@@ -208,9 +203,8 @@ func (d *Distributor) NumGroups() int { return d.grouper.NumGroups() }
 
 // AddRedistribution registers a redistribution license received from
 // upstream (the owner or a parent distributor) and returns its corpus
-// index. An existing headroom cache is re-sized to the new corpus (and
-// any merged groups) at the next admission, from its own retained
-// counts — the log is never replayed again.
+// index. An existing headroom cache grows by the license's sink edge and
+// takes the new grouping; the log is never replayed again.
 func (d *Distributor) AddRedistribution(l *license.License) (int, error) {
 	idx, err := d.grouper.Add(l) // validates kind/schema and updates groups
 	if err != nil {
@@ -220,47 +214,54 @@ func (d *Distributor) AddRedistribution(l *license.License) (int, error) {
 		return 0, err
 	}
 	d.mu.Lock()
-	d.cacheDirty = true
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	if d.cache != nil && !d.cacheStale {
+		if err := d.cache.Grow(d.grouper.Grouping(), d.corpus.License(idx).Aggregate); err != nil {
+			d.cacheStale = true // the next use builds from the log
+		}
+	}
 	return idx, nil
 }
 
-// ensureCache returns a headroom cache consistent with the corpus and
-// the log, building or refreshing it as needed. The first build replays
-// the log (for a WAL-backed store that is the ledger's compacted form,
-// O(distinct sets) — the recovery warm-up); corpus changes rebuild from
-// the cache's retained counts without touching the log.
-func (d *Distributor) ensureCache(ctx context.Context) (*headroom.Cache, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cache != nil && !d.cacheDirty && !d.cacheStale {
+// cacheLocked returns a headroom cache consistent with the corpus and
+// the log, building it — one replay of the log, the recovery warm-up —
+// when there is none or it is stale. Caller holds d.mu.
+func (d *Distributor) cacheLocked(ctx context.Context) (*headroom.Cache, error) {
+	if d.cache != nil && !d.cacheStale {
 		return d.cache, nil
 	}
-	if d.cache == nil || d.cacheStale {
-		c, err := headroom.Build(ctx, d.grouper.Grouping(), d.corpus.Aggregates(), d.log)
-		if err != nil {
-			return nil, err
-		}
-		d.cache = c
-	} else if err := d.cache.Rebuild(ctx, d.grouper.Grouping(), d.corpus.Aggregates()); err != nil {
+	c, err := headroom.Build(ctx, d.grouper.Grouping(), d.corpus.Aggregates(), d.log)
+	if err != nil {
 		return nil, err
 	}
-	d.cacheDirty, d.cacheStale = false, false
-	return d.cache, nil
+	d.cache, d.cacheStale = c, false
+	return c, nil
+}
+
+// markStale flags a built cache as behind the log (next use replays).
+// Caller holds d.mu.
+func (d *Distributor) markStale() {
+	if d.cache != nil {
+		d.cacheStale = true
+	}
 }
 
 // WarmHeadroom builds the headroom cache eagerly — the recovery hook:
 // catalog reopen calls it right after replaying corpus and WAL so the
 // first issuance pays no warm-up.
 func (d *Distributor) WarmHeadroom(ctx context.Context) error {
-	_, err := d.ensureCache(ctx)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, err := d.cacheLocked(ctx)
 	return err
 }
 
 // HeadroomContext returns the remaining aggregate budget for an
 // issuance against set, served from the cache.
 func (d *Distributor) HeadroomContext(ctx context.Context, set bitset.Mask) (int64, error) {
-	cache, err := d.ensureCache(ctx)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	cache, err := d.cacheLocked(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -270,24 +271,13 @@ func (d *Distributor) HeadroomContext(ctx context.Context, set bitset.Mask) (int
 // HeadroomSummaries returns the cache's per-group min-slack summaries —
 // the payload of drmserver's /v1/headroom debug endpoint.
 func (d *Distributor) HeadroomSummaries(ctx context.Context) ([]headroom.GroupSummary, error) {
-	cache, err := d.ensureCache(ctx)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	cache, err := d.cacheLocked(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return cache.Summaries(), nil
-}
-
-// HeadroomPending returns the number of admitted-but-unconfirmed cache
-// reservations — zero when no cache has been built yet, and transiently
-// non-zero between an admission and its log append confirming.
-func (d *Distributor) HeadroomPending() int64 {
-	d.mu.Lock()
-	cache := d.cache
-	d.mu.Unlock()
-	if cache == nil {
-		return 0
-	}
-	return cache.Pending()
 }
 
 // BelongsTo runs instance validation for a candidate rectangle and returns
@@ -309,9 +299,10 @@ func (d *Distributor) Issue(kind license.Kind, rect geometry.Rect, count int64) 
 }
 
 // IssueContext is Issue under a context: cancellation is checked before
-// the instance search and again before the (potentially log-replaying)
-// online aggregate check, so an abandoned request never appends to the
-// log. A cancelled issuance returns a KindCancelled error.
+// the instance search and again, once the distributor's mutex is held,
+// before the (potentially log-replaying) online aggregate check, so an
+// abandoned request never appends to the log. A cancelled issuance
+// returns a KindCancelled error.
 func (d *Distributor) IssueContext(ctx context.Context, kind license.Kind, rect geometry.Rect, count int64) (*license.License, error) {
 	return d.issueTraced(ctx, kind, rect, count, 0)
 }
@@ -385,15 +376,17 @@ func (d *Distributor) issueContext(ctx context.Context, kind license.Kind, rect 
 		return nil, fmt.Errorf("%w: %s not contained in any redistribution license", ErrInstanceInvalid, rect)
 	}
 	rec := logstore.Record{Set: set, Count: count, Meta: logstore.Meta{Expiry: expiry}}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.mode == ModeOnline {
 		if err := ctx.Err(); err != nil {
 			return nil, drmerr.Wrap(drmerr.KindCancelled, "engine.issue", err)
 		}
-		// The hot path: check the cached slack and reserve under the
-		// group lock, append to the log, confirm. No tree walk, no
-		// replay; a failed append releases the reservation.
+		// The hot path: admit against the cached flow, append to the log.
+		// No tree walk, no replay; a failed append takes the count back,
+		// so the cache stays what a build from the log derives.
 		hctx, hsp := trace.Start(ctx, "engine.headroom")
-		cache, err := d.ensureCache(hctx)
+		cache, err := d.cacheLocked(hctx)
 		var room int64
 		var ok bool
 		if err == nil {
@@ -416,23 +409,19 @@ func (d *Distributor) issueContext(ctx context.Context, kind license.Kind, rect 
 			return nil, fmt.Errorf("%w: requested %d, headroom %d for %v", ErrAggregateExhausted, count, room, set)
 		}
 		if err := logstore.AppendContext(ctx, d.log, rec); err != nil {
-			if rerr := cache.Release(set, count); rerr != nil {
-				return nil, errors.Join(err, rerr)
+			if cerr := cache.Credit(ctx, set, count); cerr != nil {
+				d.markStale()
+				return nil, errors.Join(err, cerr)
 			}
 			return nil, err
 		}
-		cache.Confirm()
 	} else {
 		if err := logstore.AppendContext(ctx, d.log, rec); err != nil {
 			return nil, err
 		}
 		// An offline append behind an existing cache (built for headroom
 		// queries) leaves it stale; the next query replays the log.
-		d.mu.Lock()
-		if d.cache != nil {
-			d.cacheStale = true
-		}
-		d.mu.Unlock()
+		d.markStale()
 	}
 	d.issued.Add(1)
 	d.issuedCounts.Add(count)
@@ -461,7 +450,7 @@ func (d *Distributor) TopUp(i int, extra int64) error {
 	if err := d.corpus.TopUp(i, extra); err != nil {
 		return err
 	}
-	if d.cache != nil && !d.cacheDirty && !d.cacheStale {
+	if d.cache != nil && !d.cacheStale {
 		return d.cache.TopUp(i, extra)
 	}
 	return nil
@@ -479,7 +468,8 @@ func (d *Distributor) Audit(workers int) (core.Report, *core.Auditor, error) {
 // the per-group equation walks all observe ctx. On deadline expiry the
 // verified-so-far report and auditor are returned together with an error
 // matching drmerr.ErrAuditIncomplete; a cancellation during preparation
-// returns a KindCancelled error and no auditor.
+// returns a KindCancelled error and no auditor. The replay and the cache
+// checks run under the distributor's mutex; the walk does not.
 func (d *Distributor) AuditContext(ctx context.Context, workers int) (core.Report, *core.Auditor, error) {
 	start := time.Now()
 	defer M.AuditSeconds.ObserveSince(start)
@@ -497,7 +487,14 @@ func (d *Distributor) AuditContext(ctx context.Context, workers int) (core.Repor
 }
 
 func (d *Distributor) auditContext(ctx context.Context, workers int) (core.Report, *core.Auditor, error) {
+	d.mu.Lock()
 	aud, err := core.NewAuditorContext(ctx, d.corpus, d.log)
+	var sampled []cachedRoom
+	var verr error
+	if err == nil {
+		sampled, verr = d.verifyCacheLocked(ctx, aud.Grouping())
+	}
+	d.mu.Unlock()
 	if err != nil {
 		return core.Report{}, nil, err
 	}
@@ -510,7 +507,10 @@ func (d *Distributor) auditContext(ctx context.Context, workers int) (core.Repor
 	}
 	M.Audits.Inc()
 	if err == nil {
-		if verr := d.verifyCache(ctx, aud); verr != nil {
+		if verr == nil {
+			verr = crossCheck(aud, sampled)
+		}
+		if verr != nil {
 			return rep, aud, verr
 		}
 	}
@@ -526,46 +526,52 @@ const (
 	crossCheckMaxGroup = 16
 )
 
-// verifyCache is the audit-as-verifier inversion: with admission served
-// from the headroom cache, a completed audit's job includes proving the
-// cache still matches the log it no longer replays per issuance. Two
-// checks run: a structural pass (cache.Verify rebuilds the cache from
-// the log, diffs counts, and checks the kept flow is feasible and
-// maximum) and a semantic sample (the audit's own divided trees
-// recompute headroom for a few observed sets and compare against the
-// cached answers). Divergence surfaces as a KindHeadroomDivergence error
-// and increments drm_headroom_divergence_total. Skipped — not an error —
-// while admissions are in flight or the cache is out of date with the
-// corpus.
-func (d *Distributor) verifyCache(ctx context.Context, aud *core.Auditor) error {
-	d.mu.Lock()
-	cache := d.cache
-	fresh := cache != nil && !d.cacheDirty && !d.cacheStale
-	d.mu.Unlock()
-	if !fresh {
-		return nil
+// cachedRoom is a cached headroom an audit samples under d.mu, to
+// compare with its own tree once the walk is done.
+type cachedRoom struct {
+	set  bitset.Mask
+	room int64
+}
+
+// verifyCacheLocked is the audit-as-verifier inversion's structural
+// half: cache.Verify rebuilds the cache from the log, diffs counts, and
+// checks the kept flow is feasible and maximum; then it reads the cached
+// headroom of a few observed sets for crossCheck. Divergence surfaces as
+// a KindHeadroomDivergence error and drm_headroom_divergence_total. A
+// missing or stale cache has nothing to check. Caller holds d.mu.
+func (d *Distributor) verifyCacheLocked(ctx context.Context, gr overlap.Grouping) ([]cachedRoom, error) {
+	if d.cache == nil || d.cacheStale {
+		return nil, nil
 	}
-	res, err := cache.Verify(ctx, d.log)
-	if err != nil || res.Skipped {
-		return err
+	if _, err := d.cache.Verify(ctx, d.log); err != nil {
+		return nil, err
 	}
-	for _, set := range cache.SampleSets(crossCheckSample) {
-		if k := aud.Grouping().GroupOf(set.Min()); k >= 0 &&
-			aud.Grouping().Groups[k].Size > crossCheckMaxGroup {
+	var sampled []cachedRoom
+	for _, set := range d.cache.SampleSets(crossCheckSample) {
+		if k := gr.GroupOf(set.Min()); k >= 0 && gr.Groups[k].Size > crossCheckMaxGroup {
 			continue
 		}
-		want, err := aud.Headroom(set)
+		room, err := d.cache.Headroom(set)
+		if err != nil {
+			return nil, err
+		}
+		sampled = append(sampled, cachedRoom{set, room})
+	}
+	return sampled, nil
+}
+
+// crossCheck is the semantic half: the completed audit's own divided
+// trees recompute the sampled headrooms, which must equal the cache's.
+func crossCheck(aud *core.Auditor, sampled []cachedRoom) error {
+	for _, s := range sampled {
+		want, err := aud.Headroom(s.set)
 		if err != nil {
 			return err
 		}
-		got, err := cache.Headroom(set)
-		if err != nil {
-			return err
-		}
-		if got != want {
+		if s.room != want {
 			headroom.M.Divergence.Inc()
 			return drmerr.New(drmerr.KindHeadroomDivergence, "engine.audit",
-				"engine: cached headroom %d for %v, audit recomputed %d", got, set, want)
+				"engine: cached headroom %d for %v, audit recomputed %d", s.room, s.set, want)
 		}
 	}
 	return nil

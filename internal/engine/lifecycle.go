@@ -8,12 +8,11 @@
 // mirrored into the headroom cache in place so freed counts become
 // admissible immediately without a log replay.
 //
-// Ordering on the online path matches issuance, inverted: Hold marks the
-// cache in-flight (verification passes skip instead of reading a state
-// the log hasn't caught up with), the record is appended durably, then
-// the cache is credited and the hold confirmed. An append failure leaves
-// the cache untouched; a cache failure after a durable append marks the
-// cache stale (next use replays the log) and surfaces as divergence.
+// Each operation runs under the distributor's mutex, like issuance: the
+// record is appended durably, then the cache is credited (or its
+// transfer total raised). An append failure leaves the cache untouched;
+// a cache failure after a durable append marks the cache stale (next use
+// replays the log) and surfaces as divergence.
 
 package engine
 
@@ -100,12 +99,14 @@ func (d *Distributor) debitContext(ctx context.Context, kind logstore.Kind, rect
 			"engine: %s not contained in any redistribution license", rect)
 	}
 	rec := logstore.Record{Kind: kind, Set: set, Count: count, Meta: logstore.Meta{Expiry: expiry}}
-	return set, d.appendDebit(ctx, rec)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return set, d.appendDebitLocked(ctx, rec)
 }
 
-// appendDebit durably appends one revoke/expire record and credits the
-// headroom cache. Caller has validated rec's fields.
-func (d *Distributor) appendDebit(ctx context.Context, rec logstore.Record) error {
+// appendDebitLocked durably appends one revoke/expire record and credits
+// the headroom cache. Caller has validated rec's fields and holds d.mu.
+func (d *Distributor) appendDebitLocked(ctx context.Context, rec logstore.Record) error {
 	if d.mode != ModeOnline {
 		if err := logstore.AppendContext(ctx, d.log, rec); err != nil {
 			return err
@@ -113,34 +114,21 @@ func (d *Distributor) appendDebit(ctx context.Context, rec logstore.Record) erro
 		d.markStale()
 		return nil
 	}
-	cache, err := d.ensureCache(ctx)
+	cache, err := d.cacheLocked(ctx) // built before the record exists
 	if err != nil {
 		return err
 	}
-	cache.Hold()
 	if err := logstore.AppendContext(ctx, d.log, rec); err != nil {
-		cache.Confirm()
 		return err
 	}
 	if err := cache.Credit(ctx, rec.Set, rec.Count); err != nil {
 		// The debit is durable; the cache refused to mirror it, which
 		// means it had drifted from the log. Replay on next use and
 		// surface the divergence.
-		cache.Confirm()
 		d.markStale()
 		return err
 	}
-	cache.Confirm()
 	return nil
-}
-
-// markStale flags the cache as behind the log (next use replays).
-func (d *Distributor) markStale() {
-	d.mu.Lock()
-	if d.cache != nil {
-		d.cacheStale = true
-	}
-	d.mu.Unlock()
 }
 
 // Transfer re-homes count permissions for rect's belongs-to set to
@@ -201,6 +189,8 @@ func (d *Distributor) transferContext(ctx context.Context, rect geometry.Rect, c
 			"engine: %s not contained in any redistribution license", rect)
 	}
 	rec := logstore.Record{Kind: logstore.KindTransfer, Set: set, Count: count}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.mode != ModeOnline {
 		if err := logstore.AppendContext(ctx, d.log, rec); err != nil {
 			return 0, err
@@ -208,12 +198,10 @@ func (d *Distributor) transferContext(ctx context.Context, rect geometry.Rect, c
 		d.markStale()
 		return set, nil
 	}
-	cache, err := d.ensureCache(ctx)
+	cache, err := d.cacheLocked(ctx)
 	if err != nil {
 		return 0, err
 	}
-	cache.Hold()
-	defer cache.Confirm()
 	net, err := cache.NetCount(set)
 	if err != nil {
 		return 0, err
@@ -255,10 +243,10 @@ type SweepResult struct {
 // ExpireSweep debits every TTL bucket due at or before now: it reads the
 // store's ledger snapshot, derives the due schedule (earliest-first,
 // clamped by net outstanding counts so over-revoked buckets never expire
-// below zero), and appends one expire record per due bucket. Sweeps are
-// serialised; concurrent issuances interleave safely because each expire
-// is re-checked by the store's soundness gate at append. It is the
-// background sweeper's tick and the /v1/expire handler's body.
+// below zero), and appends one expire record per due bucket. The whole
+// sweep holds the distributor's mutex, so the schedule it read is still
+// the ledger's when it appends. It is the background sweeper's tick and
+// the /v1/expire handler's body.
 func (d *Distributor) ExpireSweep(ctx context.Context, now time.Time) (SweepResult, error) {
 	ctx, sp := trace.Start(ctx, "engine.expire_sweep")
 	res, err := d.expireSweep(ctx, now)
@@ -274,8 +262,8 @@ func (d *Distributor) ExpireSweep(ctx context.Context, now time.Time) (SweepResu
 }
 
 func (d *Distributor) expireSweep(ctx context.Context, now time.Time) (SweepResult, error) {
-	d.sweepMu.Lock()
-	defer d.sweepMu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return SweepResult{}, drmerr.Wrap(drmerr.KindCancelled, "engine.expire", err)
 	}
@@ -293,7 +281,7 @@ func (d *Distributor) expireSweep(ctx context.Context, now time.Time) (SweepResu
 		if err := ctx.Err(); err != nil {
 			return res, drmerr.Wrap(drmerr.KindCancelled, "engine.expire", err)
 		}
-		if err := d.appendDebit(ctx, rec); err != nil {
+		if err := d.appendDebitLocked(ctx, rec); err != nil {
 			return res, err
 		}
 		res.Records++

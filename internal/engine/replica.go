@@ -1,10 +1,10 @@
 // Replica support: a distributor serving a log-shipped WAL mirror runs
 // read-only — audits, headroom queries, and stats stay live while every
 // mutation is refused with a typed KindReadOnly error pointing writers
-// at the leader — and keeps its derived state warm by applying each
-// shipped batch's decoded records to the stats counters and the headroom
-// cache in place, so promotion (SetReadOnly(false)) serves its first
-// issuance with no warm-up replay.
+// at the leader — and keeps its derived state warm by landing each
+// shipped window and applying its decoded records to the stats counters
+// and the headroom cache in one step under its mutex, so promotion
+// (SetReadOnly(false)) serves its first issuance with no warm-up replay.
 
 package engine
 
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/drmerr"
-	"repro/internal/headroom"
 	"repro/internal/logstore"
 	"repro/internal/obs"
 )
@@ -36,13 +35,14 @@ func (d *Distributor) readOnlyErr(op string) error {
 		"engine: distributor %s is a read-only replica; send writes to the leader", d.name)
 }
 
-// ApplyReplicated folds records a replication fetch just ingested into
-// the log (wal.IngestFrames) into the distributor's derived state: the
-// stats counters always, and the headroom cache when one is built and
-// fresh. The log itself is already updated — this must NOT append — so
-// any cache refusal (drift between the mirror and the cache) falls back
-// to marking the cache stale, and the next query replays the
-// authoritative log. Safe to call concurrently with read traffic.
+// ApplyReplicated runs land, which ingests one shipped window into the
+// log and returns its decoded records, and folds them into the stats
+// counters and any built, unstale headroom cache — both under the
+// distributor's mutex, so no reader sees a window landed but not
+// folded. A cache refusal (the mirror and the cache drifted) or a
+// landing error (the window may have landed in part) marks the cache
+// stale; the next query replays the authoritative log. It returns what
+// land returned.
 //
 // The cache takes the window as a fold, the way Alg 1 merges records by
 // belongs-to set: each run of consecutive issues is summed per set and
@@ -51,14 +51,17 @@ func (d *Distributor) readOnlyErr(op string) error {
 // within a run every intermediate state is dominated by the state at
 // the run's end, which the leader reached by admitting every record: a
 // summed Admit is refused only where a per-record Admit would be.
-func (d *Distributor) ApplyReplicated(ctx context.Context, recs []logstore.Record) {
-	d.tallyReplicated(recs)
+func (d *Distributor) ApplyReplicated(ctx context.Context, land func() ([]logstore.Record, error)) ([]logstore.Record, error) {
 	d.mu.Lock()
-	cache := d.cache
-	fresh := cache != nil && !d.cacheDirty && !d.cacheStale
-	d.mu.Unlock()
-	if !fresh {
-		return
+	defer d.mu.Unlock()
+	recs, err := land()
+	if err != nil {
+		d.markStale()
+		return nil, err
+	}
+	d.tallyReplicated(recs)
+	if d.cache == nil || d.cacheStale {
+		return recs, nil
 	}
 	var run issueRun
 	for _, rec := range recs {
@@ -66,11 +69,12 @@ func (d *Distributor) ApplyReplicated(ctx context.Context, recs []logstore.Recor
 			run.add(rec.Set, rec.Count)
 			continue
 		}
-		if !d.admitRun(ctx, cache, &run) || !d.applyReplicatedDebit(ctx, cache, rec) {
-			return
+		if !d.admitRun(ctx, &run) || !d.applyReplicatedDebit(ctx, rec) {
+			return recs, nil
 		}
 	}
-	d.admitRun(ctx, cache, &run)
+	d.admitRun(ctx, &run)
+	return recs, nil
 }
 
 // tallyReplicated adds a window's records to the stats counters, one
@@ -124,19 +128,18 @@ func (r *issueRun) add(set bitset.Mask, count int64) {
 // admitRun admits each of the run's sums once and empties the run. It
 // reports false, with the cache marked stale, if the cache refused one:
 // the leader admitted these records, so a refusal means the cache
-// drifted from the mirror.
-func (d *Distributor) admitRun(ctx context.Context, cache *headroom.Cache, run *issueRun) bool {
+// drifted from the mirror. Caller holds d.mu.
+func (d *Distributor) admitRun(ctx context.Context, run *issueRun) bool {
 	defer func() {
 		clear(run.at)
 		run.sums = run.sums[:0]
 	}()
 	for _, s := range run.sums {
-		_, ok, err := cache.Admit(ctx, s.set, s.count)
+		_, ok, err := d.cache.Admit(ctx, s.set, s.count)
 		if err != nil || !ok {
 			d.markStale()
 			return false
 		}
-		cache.Confirm()
 	}
 	return true
 }
@@ -144,16 +147,14 @@ func (d *Distributor) admitRun(ctx context.Context, cache *headroom.Cache, run *
 // applyReplicatedDebit mirrors one shipped revoke, expire or transfer
 // into the cache, exactly as the leader's online path did when it
 // logged it. It reports false, with the cache marked stale, on a
-// refusal.
-func (d *Distributor) applyReplicatedDebit(ctx context.Context, cache *headroom.Cache, rec logstore.Record) bool {
-	cache.Hold()
+// refusal. Caller holds d.mu.
+func (d *Distributor) applyReplicatedDebit(ctx context.Context, rec logstore.Record) bool {
 	var err error
 	if rec.Kind == logstore.KindTransfer {
-		err = cache.ApplyTransfer(rec.Set, rec.Count)
+		err = d.cache.ApplyTransfer(rec.Set, rec.Count)
 	} else {
-		err = cache.Credit(ctx, rec.Set, rec.Count)
+		err = d.cache.Credit(ctx, rec.Set, rec.Count)
 	}
-	cache.Confirm()
 	if err != nil {
 		d.markStale()
 		return false

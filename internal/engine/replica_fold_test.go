@@ -20,6 +20,8 @@ import (
 // record counted, and mirrored into the cache, on its own — the way the
 // leader's online path admitted it.
 func applyPerRecord(ctx context.Context, d *Distributor, recs []logstore.Record) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for _, rec := range recs {
 		switch rec.Kind {
 		case logstore.KindIssue:
@@ -35,24 +37,18 @@ func applyPerRecord(ctx context.Context, d *Distributor, recs []logstore.Record)
 			d.transferred.Add(1)
 			d.transferredCounts.Add(rec.Count)
 		}
-		d.mu.Lock()
-		cache := d.cache
-		fresh := cache != nil && !d.cacheDirty && !d.cacheStale
-		d.mu.Unlock()
-		if !fresh {
+		if d.cache == nil || d.cacheStale {
 			continue
 		}
 		var err error
 		ok := true
 		switch rec.Kind {
 		case logstore.KindIssue:
-			if _, ok, err = cache.Admit(ctx, rec.Set, rec.Count); ok {
-				cache.Confirm()
-			}
+			_, ok, err = d.cache.Admit(ctx, rec.Set, rec.Count)
 		case logstore.KindTransfer:
-			err = cache.ApplyTransfer(rec.Set, rec.Count)
+			err = d.cache.ApplyTransfer(rec.Set, rec.Count)
 		default:
-			err = cache.Credit(ctx, rec.Set, rec.Count)
+			err = d.cache.Credit(ctx, rec.Set, rec.Count)
 		}
 		if err != nil || !ok {
 			d.markStale()
@@ -166,18 +162,16 @@ func TestReplicatedFoldMatchesPerRecord(t *testing.T) {
 				}
 			}
 
-			for _, d := range []*Distributor{fold, ref} {
-				for _, r := range recs {
-					if err := d.log.Append(r); err != nil {
-						t.Fatal(err)
-					}
-				}
+			if _, err := fold.ApplyReplicated(ctx, landing(fold.log, recs)); err != nil {
+				t.Fatal(err)
 			}
-			fold.ApplyReplicated(ctx, recs)
+			if _, err := landing(ref.log, recs)(); err != nil {
+				t.Fatal(err)
+			}
 			applyPerRecord(ctx, ref, recs)
 
 			for _, d := range []*Distributor{fold, ref} {
-				if d.cacheStale || d.cacheDirty {
+				if d.cacheStale {
 					t.Fatalf("seed %d window %d: %s cache went stale on a sound window", seed, win, d.name)
 				}
 			}

@@ -16,6 +16,12 @@ import (
 func ex1Replica(t *testing.T, ex *license.Example1) (*Distributor, logstore.Store) {
 	t.Helper()
 	log := logstore.NewMem(0)
+	return replicaOver(t, ex, log), log
+}
+
+// replicaOver is ex1Replica over a given log store.
+func replicaOver(t *testing.T, ex *license.Example1, log logstore.Store) *Distributor {
+	t.Helper()
 	d := NewDistributor("D1-replica", ex.Schema, ModeOnline, log)
 	for i := 0; i < ex.Corpus.Len(); i++ {
 		l := ex.Corpus.License(i)
@@ -28,7 +34,20 @@ func ex1Replica(t *testing.T, ex *license.Example1) (*Distributor, logstore.Stor
 		t.Fatal(err)
 	}
 	d.SetReadOnly(true)
-	return d, log
+	return d
+}
+
+// landing returns a land step that appends recs to log, as
+// wal.IngestFrames does for a shipped window.
+func landing(log logstore.Store, recs []logstore.Record) func() ([]logstore.Record, error) {
+	return func() ([]logstore.Record, error) {
+		for _, r := range recs {
+			if err := log.Append(r); err != nil {
+				return nil, err
+			}
+		}
+		return recs, nil
+	}
 }
 
 // TestReadOnlyRefusesMutations checks every mutation path is gated with
@@ -79,12 +98,9 @@ func TestApplyReplicatedKeepsStateWarm(t *testing.T) {
 
 	replicate := func(recs ...logstore.Record) {
 		t.Helper()
-		for _, r := range recs {
-			if err := flog.Append(r); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := follower.ApplyReplicated(ctx, landing(flog, recs)); err != nil {
+			t.Fatal(err)
 		}
-		follower.ApplyReplicated(ctx, recs)
 	}
 	checkParity := func(stage string) {
 		t.Helper()

@@ -15,22 +15,21 @@
 // B's node lets through min over S ⊇ B of slack(S) minus that shortfall
 // (DESIGN.md §10).
 //
-// Group decomposition (Corollary 1.1). Instance-valid belongs-to sets
-// never span overlap groups, so no flow crosses a group and each group
-// keeps its own maximum flow. With deficit_k = flow_k − total_k ≤ 0,
+// One network (Corollary 1.1). Instance-valid belongs-to sets never span
+// overlap groups, so no path of the network crosses one: a search from
+// B's node never leaves B's group, and Thm 2's groups emerge from the
+// sweep instead of being kept apart. With deficit = flow − total ≤ 0
+// over the whole network,
 //
-//	Headroom(B) = localMin_k0(B) + Σ_{k≠k0} deficit_k
+//	Headroom(B) = sent(B) + deficit
 //
-// where k0 is B's group and localMin_k0(B) is the extra flow B's node can
-// still push plus deficit_k0. The deficit term is zero unless a recovered
-// log already violates another group, preserving exact equivalence with
-// the full-universe walk even then.
+// where sent(B) is the extra flow B's node can still push. The deficit
+// is zero unless a recovered log already violates some group, preserving
+// exact equivalence with the full-universe walk even then.
 //
-// Concurrency. Admission is Admit (check + reserve under the group
-// lock), then the caller appends to its log and calls Confirm, or
-// Release to roll back a failed append. The pending counter lets Verify
-// (see verify.go) distinguish a quiescent cache from one with reserved
-// but not-yet-logged records.
+// Concurrency. A Cache is plain data for one writer: no method is safe
+// for concurrent use. engine.Distributor guards its cache with its own
+// mutex, under which it admits, appends, credits and reads.
 package headroom
 
 import (
@@ -38,8 +37,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -53,51 +50,35 @@ import (
 // with no observed set.
 const unbounded = int64(math.MaxInt64)
 
-// Cache is the admission cache for one corpus. All methods are safe for
-// concurrent use.
+// Cache is the admission cache for one corpus: one kept maximum flow
+// over every license.
 type Cache struct {
-	// mu guards topology: grouping, aggs, and the groups slice. Admission
-	// takes it shared; TopUp, Rebuild, and Verify take it exclusively.
-	mu       sync.RWMutex
 	n        int
 	grouping overlap.Grouping
 	aggs     []int64
-	groupOf  []int
-	groups   []*group
-	// pending counts admitted-but-unconfirmed reservations (records the
-	// cache has applied that the issuance log may not hold yet).
-	pending atomic.Int64
-}
-
-// group is one overlap component's kept maximum flow. deficit is atomic
-// so admissions in other groups read it without taking this group's
-// lock; everything else is guarded by mu.
-type group struct {
-	mu      sync.Mutex
-	members bitset.Mask
+	// span[e] is the members of license e's overlap group; a set must lie
+	// in its least license's span (the cross-group check).
+	span []bitset.Mask
 	// sets holds one node per observed belongs-to set with a positive net
-	// count (issues minus revokes and expiries) — the compacted ledger
-	// restricted to this group, and what Rebuild reuses so corpus changes
-	// never replay the log. A set whose count returns to zero loses its
-	// node, so the nodes match what a fresh build from the log derives.
+	// count (issues minus revokes and expiries) — the compacted ledger. A
+	// set whose count returns to zero loses its node, so the nodes match
+	// what a fresh build from the log derives.
 	sets map[bitset.Mask]*node
 	// xfer sums cumulative transferred counts per set — lifecycle
 	// bookkeeping the engine's transfer-cap policy reads. Transfers do
 	// not move flow.
 	xfer map[bitset.Mask]int64
 	// load[e] is the flow license e passes to the sink, at most its
-	// budget aggs[e]; users[e] lists the nodes whose set holds e. Both
-	// are indexed by global license; only members' entries are used.
+	// budget aggs[e]; users[e] lists the nodes whose set holds e.
 	load  []int64
 	users [][]*node
-	// total sums the nodes' counts and flow the flow they send; deficit
-	// publishes flow − total, which is min(0, the group's least slack).
+	// total sums the nodes' counts and flow the flow they send; flow −
+	// total is the deficit, min(0, the least slack of any equation).
 	total, flow int64
-	deficit     atomic.Int64
-	// rejections counts admissions this group turned away (count >
-	// room) over the cache's lifetime — the per-group signal behind the
-	// heavy-hitter rejection ranking and the /v1/headroom summaries.
-	rejections atomic.Int64
+	// rejections[e] counts the admissions refused for sets whose least
+	// license is e, over the cache's lifetime — summed per group for the
+	// heavy-hitter ranking and the /v1/headroom summaries.
+	rejections []int64
 	// Path-search buffers: epoch stamps the nodes the current search
 	// expanded; license e was reached through node via[e] from license
 	// prev[e], or from the source when prev[e] is −1.
@@ -139,34 +120,11 @@ func Build(ctx context.Context, grouping overlap.Grouping, aggs []int64, log log
 	return c, err
 }
 
+// build sums the log's counts per set, gives every set with a positive
+// net count a node, then pushes the network to a maximum flow. Counts
+// are summed before any flow moves, so a build runs one push per
+// distinct set however long the log is.
 func build(ctx context.Context, grouping overlap.Grouping, aggs []int64, log logstore.Store) (*Cache, error) {
-	c, err := newCache(grouping, aggs)
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[bitset.Mask]int64)
-	err = logstore.ForEachContext(ctx, log, func(r logstore.Record) error {
-		g, err := c.route(r.Set)
-		if err != nil {
-			return err
-		}
-		counts[r.Set] += r.Effective()
-		if r.Kind == logstore.KindTransfer {
-			g.xfer[r.Set] += r.Count
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.fill(counts); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// newCache allocates the skeleton: groups, routing table, aggregate copy.
-func newCache(grouping overlap.Grouping, aggs []int64) (*Cache, error) {
 	if err := grouping.Validate(); err != nil {
 		return nil, drmerr.Wrap(drmerr.KindCorpusMismatch, "headroom.build", err)
 	}
@@ -174,141 +132,113 @@ func newCache(grouping overlap.Grouping, aggs []int64) (*Cache, error) {
 		return nil, drmerr.New(drmerr.KindCorpusMismatch, "headroom.build",
 			"headroom: %d aggregates for %d licenses", len(aggs), grouping.N)
 	}
+	n := grouping.N
 	c := &Cache{
-		n:        grouping.N,
-		grouping: grouping,
-		aggs:     append([]int64(nil), aggs...),
-		groupOf:  make([]int, grouping.N),
-		groups:   make([]*group, len(grouping.Groups)),
+		aggs:       slices.Clone(aggs),
+		sets:       make(map[bitset.Mask]*node),
+		xfer:       make(map[bitset.Mask]int64),
+		load:       make([]int64, n),
+		users:      make([][]*node, n),
+		rejections: make([]int64, n),
+		via:        make([]*node, n),
+		prev:       make([]int, n),
 	}
-	for k, gr := range grouping.Groups {
-		c.groups[k] = &group{
-			members: gr.Members,
-			sets:    make(map[bitset.Mask]*node),
-			xfer:    make(map[bitset.Mask]int64),
-			load:    make([]int64, c.n),
-			users:   make([][]*node, c.n),
-			via:     make([]*node, c.n),
-			prev:    make([]int, c.n),
+	c.regroup(grouping)
+	counts := make(map[bitset.Mask]int64)
+	err := logstore.ForEachContext(ctx, log, func(r logstore.Record) error {
+		if err := c.route(r.Set); err != nil {
+			return err
 		}
-		gr.Members.ForEach(func(e int) bool {
-			c.groupOf[e] = k
-			return true
-		})
+		counts[r.Set] += r.Effective()
+		if r.Kind == logstore.KindTransfer {
+			c.xfer[r.Set] += r.Count
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	for set, cnt := range counts {
+		if cnt > 0 {
+			c.add(set).cnt = cnt
+			c.total += cnt
+		}
+	}
+	c.refill()
+	M.Rebuilds.Inc()
 	return c, nil
 }
 
-// fill gives every set with a positive net count a node in its group,
-// then pushes each group to a maximum flow. Counts are summed before any
-// flow moves, so a build runs one push per distinct set however long the
-// log is.
-func (c *Cache) fill(counts map[bitset.Mask]int64) error {
-	for set, n := range counts {
-		g, err := c.route(set)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			g.add(set).cnt = n
-			g.total += n
-		}
+// regroup installs grouping and the span it gives each license.
+func (c *Cache) regroup(grouping overlap.Grouping) {
+	c.n, c.grouping = grouping.N, grouping
+	c.span = make([]bitset.Mask, grouping.N)
+	for _, g := range grouping.Groups {
+		g.Members.ForEach(func(e int) bool {
+			c.span[e] = g.Members
+			return true
+		})
 	}
-	for _, g := range c.groups {
-		c.refill(g)
+	M.Groups.Set(int64(grouping.NumGroups()))
+}
+
+// Grow adds license c.n with budget agg — one new sink edge — under
+// grouping, the corpus's grouping with the new license in it. No set
+// holds the new license yet, so no path reaches its edge and nothing is
+// refilled or replayed. The grouping moves because the cross-group check
+// and the summaries read it: groups the new license merges may be
+// spanned by sets from now on.
+func (c *Cache) Grow(grouping overlap.Grouping, agg int64) error {
+	if err := grouping.Validate(); err != nil {
+		return drmerr.Wrap(drmerr.KindCorpusMismatch, "headroom.grow", err)
 	}
-	M.Rebuilds.Inc()
-	M.Groups.Set(int64(len(c.groups)))
+	if grouping.N != c.n+1 {
+		return drmerr.New(drmerr.KindCorpusMismatch, "headroom.grow",
+			"headroom: grouping of %d licenses grows a cache of %d", grouping.N, c.n)
+	}
+	c.aggs = append(c.aggs, agg)
+	c.load = append(c.load, 0)
+	c.users = append(c.users, nil)
+	c.rejections = append(c.rejections, 0)
+	c.via = append(c.via, nil)
+	c.prev = append(c.prev, 0)
+	c.regroup(grouping)
 	return nil
 }
 
-// Rebuild re-derives every group's state for a changed corpus (new
-// licenses, merged groups, changed aggregates) from the counts the cache
-// already holds — no log replay. Observed sets are re-routed under the
-// new grouping, so group merges and splits-by-growth are handled
-// uniformly.
-func (c *Cache) Rebuild(ctx context.Context, grouping overlap.Grouping, aggs []int64) error {
-	_, sp := trace.Start(ctx, "headroom.rebuild")
-	err := c.rebuild(grouping, aggs)
-	if sp != nil {
-		sp.SetInt("groups", int64(grouping.NumGroups()))
-		sp.Fail(err)
-		sp.End()
-	}
-	return err
-}
-
-func (c *Cache) rebuild(grouping overlap.Grouping, aggs []int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fresh, err := newCache(grouping, aggs)
-	if err != nil {
-		return err
-	}
-	counts := make(map[bitset.Mask]int64)
-	xfer := make(map[bitset.Mask]int64)
-	for _, old := range c.groups {
-		old.mu.Lock()
-		for set, n := range old.sets {
-			counts[set] = n.cnt
-		}
-		for set, n := range old.xfer {
-			xfer[set] = n
-		}
-		old.mu.Unlock()
-	}
-	for set, n := range xfer {
-		g, err := fresh.route(set)
-		if err != nil {
-			return err
-		}
-		g.xfer[set] = n
-	}
-	if err := fresh.fill(counts); err != nil {
-		return err
-	}
-	c.n = fresh.n
-	c.grouping = fresh.grouping
-	c.aggs = fresh.aggs
-	c.groupOf = fresh.groupOf
-	c.groups = fresh.groups
-	return nil
-}
-
-// route returns the group owning set, or a typed error if the set is
-// outside the universe or spans groups. Callers hold at least c.mu.RLock.
-func (c *Cache) route(set bitset.Mask) (*group, error) {
+// route checks that set is a valid belongs-to set: non-empty, inside
+// the universe and inside one overlap group.
+func (c *Cache) route(set bitset.Mask) error {
 	if set.Empty() {
-		return nil, drmerr.New(drmerr.KindInvalidInput, "headroom.route", "headroom: empty belongs-to set")
+		return drmerr.New(drmerr.KindInvalidInput, "headroom.route", "headroom: empty belongs-to set")
 	}
 	if !set.SubsetOf(bitset.FullMask(c.n)) {
-		return nil, drmerr.New(drmerr.KindCorpusMismatch, "headroom.route",
+		return drmerr.New(drmerr.KindCorpusMismatch, "headroom.route",
 			"headroom: set %v outside universe of %d licenses", set, c.n)
 	}
-	g := c.groups[c.groupOf[set.Min()]]
-	if !set.SubsetOf(g.members) {
-		return nil, drmerr.New(drmerr.KindCrossGroup, "headroom.route",
+	if !set.SubsetOf(c.span[set.Min()]) {
+		return drmerr.New(drmerr.KindCrossGroup, "headroom.route",
 			"headroom: set %v spans overlap groups", set)
 	}
-	return g, nil
+	return nil
 }
 
 // add gives set a node with no count yet.
-func (g *group) add(set bitset.Mask) *node {
+func (c *Cache) add(set bitset.Mask) *node {
 	n := &node{set: set, flow: make([]int64, set.Len())}
-	g.sets[set] = n
+	c.sets[set] = n
 	set.ForEach(func(e int) bool {
-		g.users[e] = append(g.users[e], n)
+		c.users[e] = append(c.users[e], n)
 		return true
 	})
 	return n
 }
 
 // remove drops a node whose count and flow are zero.
-func (g *group) remove(n *node) {
-	delete(g.sets, n.set)
+func (c *Cache) remove(n *node) {
+	delete(c.sets, n.set)
 	n.set.ForEach(func(e int) bool {
-		g.users[e] = slices.DeleteFunc(g.users[e], func(u *node) bool { return u == n })
+		c.users[e] = slices.DeleteFunc(c.users[e], func(u *node) bool { return u == n })
 		return true
 	})
 }
@@ -318,63 +248,64 @@ func (g *group) remove(n *node) {
 // the search reaches, along the path that reached it. A path enters one
 // of src's licenses, then repeatedly leaves a license at its budget for
 // a node sending it flow — that flow is redirected to another of the
-// node's licenses. A send can drain an edge of a path found earlier in
+// node's licenses. The search never leaves src's overlap group, since no
+// node spans two. A send can drain an edge of a path found earlier in
 // the sweep; that path then carries nothing and the next sweep searches
 // again. A sweep that sends nothing has found no path: the flow from src
-// is maximum. Caller holds g.mu.
-func (c *Cache) sweep(g *group, src *node, limit int64) int64 {
-	g.epoch++
-	src.seen = g.epoch
+// is maximum.
+func (c *Cache) sweep(src *node, limit int64) int64 {
+	c.epoch++
+	src.seen = c.epoch
 	reached := src.set
-	q := g.queue[:0]
+	q := c.queue[:0]
 	for w := uint64(src.set); w != 0; w &= w - 1 {
 		e := bits.TrailingZeros64(w)
-		g.via[e], g.prev[e] = src, -1
+		c.via[e], c.prev[e] = src, -1
 		q = append(q, e)
 	}
 	var sent int64
 	for head := 0; head < len(q) && sent < limit; head++ {
 		e := q[head]
-		if g.load[e] < c.aggs[e] {
-			sent += c.send(g, e, limit-sent)
-			if g.load[e] < c.aggs[e] {
+		if c.load[e] < c.aggs[e] {
+			sent += c.send(e, limit-sent)
+			if c.load[e] < c.aggs[e] {
 				continue
 			}
 		}
-		for _, n := range g.users[e] {
-			if n.seen == g.epoch || *n.at(e) == 0 {
+		for _, n := range c.users[e] {
+			if n.seen == c.epoch || *n.at(e) == 0 {
 				continue
 			}
-			n.seen = g.epoch
+			n.seen = c.epoch
 			for w := uint64(n.set &^ reached); w != 0; w &= w - 1 {
 				f := bits.TrailingZeros64(w)
-				g.via[f], g.prev[f] = n, e
+				c.via[f], c.prev[f] = n, e
 				q = append(q, f)
 			}
 			reached |= n.set
 		}
 	}
-	g.queue = q
+	c.queue = q
 	return sent
 }
 
 // send moves flow along the path sweep found to license end: the least
 // of limit, end's unused budget and every flow the path redirects.
-func (c *Cache) send(g *group, end int, limit int64) int64 {
-	d := min(limit, c.aggs[end]-g.load[end])
-	for f := end; g.prev[f] >= 0 && d > 0; f = g.prev[f] {
-		d = min(d, *g.via[f].at(g.prev[f]))
+func (c *Cache) send(end int, limit int64) int64 {
+	d := min(limit, c.aggs[end]-c.load[end])
+	for f := end; c.prev[f] >= 0 && d > 0; f = c.prev[f] {
+		d = min(d, *c.via[f].at(c.prev[f]))
 	}
 	if d == 0 {
 		return 0
 	}
-	g.load[end] += d
-	for f := end; ; f = g.prev[f] {
-		n, p := g.via[f], g.prev[f]
+	c.load[end] += d
+	for f := end; ; f = c.prev[f] {
+		n, p := c.via[f], c.prev[f]
 		*n.at(f) += d
 		if p < 0 {
 			n.out += d
-			g.flow += d
+			c.flow += d
 			return d
 		}
 		*n.at(p) -= d
@@ -383,10 +314,10 @@ func (c *Cache) send(g *group, end int, limit int64) int64 {
 
 // push sends up to limit more units from n's node, a sweep at a time,
 // and returns the amount sent.
-func (c *Cache) push(g *group, n *node, limit int64) int64 {
+func (c *Cache) push(n *node, limit int64) int64 {
 	var sent int64
 	for sent < limit {
-		d := c.sweep(g, n, limit-sent)
+		d := c.sweep(n, limit-sent)
 		if d == 0 {
 			break
 		}
@@ -396,196 +327,138 @@ func (c *Cache) push(g *group, n *node, limit int64) int64 {
 }
 
 // cancel withdraws amount units of n's flow, from its licenses in order.
-func (g *group) cancel(n *node, amount int64) {
+func (c *Cache) cancel(n *node, amount int64) {
 	if amount <= 0 {
 		return
 	}
 	n.out -= amount
-	g.flow -= amount
+	c.flow -= amount
 	i := 0
 	for w := uint64(n.set); amount > 0; w &= w - 1 {
 		e := bits.TrailingZeros64(w)
 		take := min(n.flow[i], amount)
 		n.flow[i] -= take
-		g.load[e] -= take
+		c.load[e] -= take
 		amount -= take
 		i++
 	}
 }
 
-// refill pushes every set short of its count as far as it goes, then
-// publishes the deficit. One pass leaves a maximum flow: a set with no
-// path left gains none while later sets push (DESIGN.md §10). A group
-// with no deficit has every set full and nothing to refill.
-func (c *Cache) refill(g *group) {
-	if g.flow < g.total {
-		for _, n := range g.sets {
+// refill pushes every set short of its count as far as it goes. One pass
+// leaves a maximum flow: a set with no path left gains none while later
+// sets push (DESIGN.md §10). A network with no deficit has every set
+// full and nothing to refill.
+func (c *Cache) refill() {
+	if c.flow < c.total {
+		for _, n := range c.sets {
 			if n.out < n.cnt {
-				c.push(g, n, n.cnt-n.out)
+				c.push(n, n.cnt-n.out)
 			}
 		}
 	}
-	g.deficit.Store(g.flow - g.total)
 }
 
 // reach pushes all the flow set's node can still take, giving a new set
-// a node with no count first, and returns the node and the amount sent:
-// localMin(set) is that amount plus the group's deficit. The caller
-// settles the amount with keep. Caller holds g.mu.
-func (c *Cache) reach(g *group, set bitset.Mask) (*node, int64) {
-	n := g.sets[set]
+// a node with no count first. It returns the node, the amount sent and
+// the room: the amount plus the deficit it was sent against. The caller
+// settles the amount with keep.
+func (c *Cache) reach(set bitset.Mask) (n *node, sent, room int64) {
+	n = c.sets[set]
 	if n == nil {
-		n = g.add(set)
+		n = c.add(set)
 	}
-	return n, c.push(g, n, unbounded)
+	deficit := c.flow - c.total
+	sent = c.push(n, unbounded)
+	return n, sent, sent + deficit
 }
 
 // keep settles what reach sent through n: count units of it stay, as
-// more count on n, and the rest is withdrawn. Keeping at most the local
-// room leaves the deficit where it was (DESIGN.md §10), so no set needs
+// more count on n, and the rest is withdrawn. Keeping at most the room
+// leaves the deficit where it was (DESIGN.md §10), so no set needs
 // refilling.
-func (g *group) keep(n *node, sent, count int64) {
+func (c *Cache) keep(n *node, sent, count int64) {
 	n.cnt += count
-	g.total += count
-	g.cancel(n, sent-count)
+	c.total += count
+	c.cancel(n, sent-count)
 	if n.cnt == 0 {
-		g.remove(n)
+		c.remove(n)
 	}
 }
 
 // lower drops n's count by count and withdraws the flow above it. The
-// freed budget may let a set the group was short on push further, so a
-// group in deficit refills.
-func (c *Cache) lower(g *group, n *node, count int64) {
+// freed budget may let a set the network was short on push further, so
+// a network in deficit refills.
+func (c *Cache) lower(n *node, count int64) {
 	n.cnt -= count
-	g.total -= count
-	g.cancel(n, n.out-n.cnt)
+	c.total -= count
+	c.cancel(n, n.out-n.cnt)
 	if n.cnt == 0 {
-		g.remove(n)
+		c.remove(n)
 	}
-	c.refill(g)
-}
-
-// deficitExcept sums the deficits of every group but skip — the
-// cross-group correction that keeps cached headroom exactly equal to the
-// full-universe walk when a recovered log already violates other groups.
-func (c *Cache) deficitExcept(skip *group) int64 {
-	var total int64
-	for _, g := range c.groups {
-		if g != skip {
-			total += g.deficit.Load()
-		}
-	}
-	return total
+	c.refill()
 }
 
 // Headroom returns the largest count issuable against set without
 // violating any validation equation — the cached equivalent of
-// vtree.Headroom over the full corpus. It does not reserve anything.
+// vtree.Headroom over the full corpus. It changes nothing.
 func (c *Cache) Headroom(set bitset.Mask) (int64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	g, err := c.route(set)
-	if err != nil {
+	if err := c.route(set); err != nil {
 		return 0, err
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n, sent := c.reach(g, set)
-	room := sent + g.deficit.Load() + c.deficitExcept(g)
-	g.keep(n, sent, 0)
+	n, sent, room := c.reach(set)
+	c.keep(n, sent, 0)
 	return room, nil
 }
 
-// Admit atomically checks and reserves one issuance: if count fits under
-// the cached headroom for set, count more units stay on the set's node
-// and ok is true; otherwise nothing changes and the rejecting headroom
-// is returned. After a successful Admit the caller must append the
-// record to its log and call Confirm, or Release to undo a failed
-// append. The check and the reservation run under one group lock, so
-// concurrent admissions can never jointly overshoot a budget.
+// Admit checks and applies one issuance: if count fits under the cached
+// headroom for set, count more units stay on the set's node and ok is
+// true; otherwise nothing changes and the refusing headroom is returned.
+// A caller whose log append then fails takes the count back with Credit.
 func (c *Cache) Admit(ctx context.Context, set bitset.Mask, count int64) (room int64, ok bool, err error) {
 	start := time.Now()
 	defer M.CheckSeconds.ObserveSince(start)
 	M.Checks.Inc()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	g, err := c.route(set)
-	if err != nil {
+	if err := c.route(set); err != nil {
 		return 0, false, err
 	}
 	if count <= 0 {
 		return 0, false, drmerr.New(drmerr.KindInvalidInput, "headroom.admit",
 			"headroom: non-positive count %d", count)
 	}
-	g.mu.Lock()
 	_, csp := trace.Start(ctx, "headroom.check")
-	n, sent := c.reach(g, set)
-	room = sent + g.deficit.Load() + c.deficitExcept(g)
+	n, sent, room := c.reach(set)
 	if csp != nil {
 		csp.SetInt("headroom", room)
 		csp.End()
 	}
 	if count > room {
-		g.keep(n, sent, 0)
-		g.rejections.Add(1)
-		g.mu.Unlock()
+		c.keep(n, sent, 0)
+		c.rejections[set.Min()]++
 		M.Rejected.Inc()
 		return room, false, nil
 	}
 	_, asp := trace.Start(ctx, "headroom.apply")
-	g.keep(n, sent, count)
+	c.keep(n, sent, count)
 	if asp != nil {
 		asp.SetInt("count", count)
 		asp.End()
 	}
-	g.mu.Unlock()
-	c.pending.Add(1)
 	M.Admitted.Inc()
 	return room, true, nil
 }
 
-// Confirm marks the most recent Admit as durably logged.
-func (c *Cache) Confirm() { c.pending.Add(-1) }
+// Confirm does nothing: an admission reserves nothing, so there is
+// nothing to confirm. perfbench's traced pass still calls it.
+//
+// Deprecated: Admit applies the count; undo it with Credit.
+func (c *Cache) Confirm() {}
 
-// Pending returns the number of admitted-but-unconfirmed reservations.
-func (c *Cache) Pending() int64 { return c.pending.Load() }
-
-// Release rolls back an admitted-but-unlogged reservation (the log
-// append failed): the set's count drops back and the reservation
-// retires. A set whose count returns to zero loses its node, as a
-// rebuild from the log would derive.
-func (c *Cache) Release(set bitset.Mask, count int64) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	g, err := c.route(set)
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	defer func() {
-		g.mu.Unlock()
-		c.pending.Add(-1)
-	}()
-	if n := g.sets[set]; n != nil {
-		c.lower(g, n, min(count, n.cnt))
-	}
-	return nil
-}
-
-// Hold registers an in-flight lifecycle mutation (a revoke, expiry, or
-// transfer between its log append and the matching cache update) so
-// Verify treats the cache as non-quiescent. Every Hold must be paired
-// with a Confirm.
-func (c *Cache) Hold() { c.pending.Add(1) }
-
-// Credit applies a durably-logged debit record (revoke or expire) to
-// the cache: the set's net count drops by count, so every equation
-// S ⊇ set gains count of slack. Callers bracket the log append and the
-// Credit with Hold/Confirm so Verify never observes the halfway state. A
-// count exceeding the cached net count means the cache has diverged from
-// the log (the store would have refused the append) and is reported as
-// KindHeadroomDivergence.
+// Credit applies a debit to the cache — a durably-logged revoke or
+// expire record, or the undo of an Admit whose log append failed: the
+// set's net count drops by count, so every equation S ⊇ set gains count
+// of slack. A count exceeding the cached net count means the cache has
+// diverged from the log (the store would have refused the append) and is
+// reported as KindHeadroomDivergence.
 func (c *Cache) Credit(ctx context.Context, set bitset.Mask, count int64) error {
 	_, sp := trace.Start(ctx, "headroom.credit")
 	err := c.credit(set, count)
@@ -598,31 +471,25 @@ func (c *Cache) Credit(ctx context.Context, set bitset.Mask, count int64) error 
 }
 
 func (c *Cache) credit(set bitset.Mask, count int64) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	g, err := c.route(set)
-	if err != nil {
+	if err := c.route(set); err != nil {
 		return err
 	}
 	if count <= 0 {
 		return drmerr.New(drmerr.KindInvalidInput, "headroom.credit",
 			"headroom: non-positive credit %d", count)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := g.sets[set]
+	n := c.sets[set]
 	if n == nil || count > n.cnt {
 		return drmerr.New(drmerr.KindHeadroomDivergence, "headroom.credit",
-			"headroom: credit of %d against cached net count %d for set %v", count, g.count(set), set)
+			"headroom: credit of %d against cached net count %d for set %v", count, c.count(set), set)
 	}
-	c.lower(g, n, count)
+	c.lower(n, count)
 	return nil
 }
 
-// count returns set's net count, 0 when it has no node. Caller holds
-// g.mu.
-func (g *group) count(set bitset.Mask) int64 {
-	if n := g.sets[set]; n != nil {
+// count returns set's net count, 0 when it has no node.
+func (c *Cache) count(set bitset.Mask) int64 {
+	if n := c.sets[set]; n != nil {
 		return n.cnt
 	}
 	return 0
@@ -632,19 +499,14 @@ func (g *group) count(set bitset.Mask) int64 {
 // per-set transfer totals. The flow is untouched — transfers move
 // permissions between consumers, not against the corpus.
 func (c *Cache) ApplyTransfer(set bitset.Mask, count int64) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	g, err := c.route(set)
-	if err != nil {
+	if err := c.route(set); err != nil {
 		return err
 	}
 	if count <= 0 {
 		return drmerr.New(drmerr.KindInvalidInput, "headroom.transfer",
 			"headroom: non-positive transfer %d", count)
 	}
-	g.mu.Lock()
-	g.xfer[set] += count
-	g.mu.Unlock()
+	c.xfer[set] += count
 	return nil
 }
 
@@ -652,38 +514,26 @@ func (c *Cache) ApplyTransfer(set bitset.Mask, count int64) error {
 // the set routes but has no transfers) — the number the engine's
 // transfer-cap policy compares against.
 func (c *Cache) Transferred(set bitset.Mask) (int64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	g, err := c.route(set)
-	if err != nil {
+	if err := c.route(set); err != nil {
 		return 0, err
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.xfer[set], nil
+	return c.xfer[set], nil
 }
 
 // NetCount returns the cached net outstanding count for set (exact-set
 // count, not the subset-closed C⟨S⟩) — what revokes and transfers are
 // bounded by.
 func (c *Cache) NetCount(set bitset.Mask) (int64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	g, err := c.route(set)
-	if err != nil {
+	if err := c.route(set); err != nil {
 		return 0, err
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.count(set), nil
+	return c.count(set), nil
 }
 
 // TopUp raises license i's budget by extra. A higher sink capacity can
-// only let a set the group was short on push further, so a group in
+// only let a set the network was short on push further, so a network in
 // deficit refills.
 func (c *Cache) TopUp(i int, extra int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if i < 0 || i >= c.n {
 		return drmerr.New(drmerr.KindInvalidInput, "headroom.topup", "headroom: license %d outside corpus", i)
 	}
@@ -691,9 +541,6 @@ func (c *Cache) TopUp(i int, extra int64) error {
 		return drmerr.New(drmerr.KindInvalidInput, "headroom.topup", "headroom: non-positive top-up %d", extra)
 	}
 	c.aggs[i] += extra
-	g := c.groups[c.groupOf[i]]
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c.refill(g)
+	c.refill()
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/drmerr"
 	"repro/internal/headroom"
 	"repro/internal/logstore"
+	"repro/internal/obs"
 	"repro/internal/overlap"
 	"repro/internal/vtree"
 	"repro/internal/workload"
@@ -118,9 +119,22 @@ func TestBuildMatchesTreeWalk(t *testing.T) {
 	}
 }
 
-// TestAdmitSequenceMatchesOracle drives a random admission sequence and
-// checks every decision and every reported room against a tree rebuilt
-// from scratch before each step.
+// admission is one step of an admission sequence; a zero count asks
+// for exactly the oracle's room.
+type admission struct {
+	set   bitset.Mask
+	count int64
+}
+
+// TestAdmitSequenceMatchesOracle drives admission sequences and checks
+// every decision and every reported room against a tree rebuilt from
+// scratch before each step; accepted counts are appended to the log.
+// Every set's headroom is checked before and after the sequence, and
+// Verify stays clean. The cases are a random sequence over a generated
+// workload, and three hand-built single-group corpora: sets that keep
+// bringing unobserved licenses into the network, a group all of whose
+// licenses are observed (every set checked, then one set exhausted),
+// and admissions that end up covering their group.
 func TestAdmitSequenceMatchesOracle(t *testing.T) {
 	w := workload.MustGenerate(workload.Config{
 		N: 10, Groups: 3, Dims: 2, RecordsPerLicense: 10, Seed: 3,
@@ -128,175 +142,106 @@ func TestAdmitSequenceMatchesOracle(t *testing.T) {
 		// exercises rejections.
 		AggregateLo: 1500, AggregateHi: 3000,
 	})
-	grouping := overlap.GroupsOf(w.Corpus)
-	aggs := w.Corpus.Aggregates()
-	log := w.Store()
-	c, err := headroom.Build(context.Background(), grouping, aggs, log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var random []admission
 	sets := observedSets(w.Records)
 	rng := rand.New(rand.NewSource(99))
-	ctx := context.Background()
-	admitted, rejected := 0, 0
-	for step := 0; step < 200; step++ {
-		set := sets[rng.Intn(len(sets))]
-		count := int64(1 + rng.Intn(800))
-		want := oracleRoom(t, 10, log, aggs, set)
-		room, ok, err := c.Admit(ctx, set, count)
-		if err != nil {
-			t.Fatalf("step %d Admit(%v, %d): %v", step, set, count, err)
-		}
-		if room != want {
-			t.Fatalf("step %d: Admit(%v, %d) room = %d, oracle %d", step, set, count, room, want)
-		}
-		if wantOK := count <= want; ok != wantOK {
-			t.Fatalf("step %d: Admit(%v, %d) ok = %v, oracle room %d", step, set, count, ok, want)
-		}
-		if ok {
-			admitted++
-			if err := log.Append(logstore.Record{Set: set, Count: count}); err != nil {
+	for range 200 {
+		random = append(random, admission{sets[rng.Intn(len(sets))], int64(1 + rng.Intn(800))})
+	}
+	oneGroup := func(n int) overlap.Grouping {
+		return overlap.Grouping{N: n, Groups: []overlap.Group{{Members: bitset.FullMask(n), Size: n}}}
+	}
+	for _, tc := range []struct {
+		name     string
+		grouping overlap.Grouping
+		aggs     []int64
+		priors   []logstore.Record
+		steps    []admission
+		// bothOutcomes requires the sequence to admit and to refuse.
+		bothOutcomes bool
+	}{
+		{
+			name: "workload", grouping: overlap.GroupsOf(w.Corpus), aggs: w.Corpus.Aggregates(),
+			priors: w.Records, steps: random, bothOutcomes: true,
+		},
+		{
+			name: "licenses join one by one", grouping: oneGroup(6), aggs: []int64{100, 100, 100, 100, 100, 100},
+			steps: []admission{
+				{bitset.MaskOf(0), 10}, {bitset.MaskOf(1, 2), 10}, {bitset.MaskOf(0, 3), 10},
+				{bitset.MaskOf(4), 10}, {bitset.MaskOf(2, 5), 10},
+			},
+		},
+		{
+			name: "every set of one group", grouping: oneGroup(5), aggs: []int64{100, 200, 300, 400, 500},
+			priors: []logstore.Record{
+				{Set: bitset.MaskOf(0), Count: 40},
+				{Set: bitset.MaskOf(0, 1), Count: 30},
+				{Set: bitset.MaskOf(2, 3), Count: 250},
+				{Set: bitset.MaskOf(1, 4), Count: 60},
+			},
+			steps: []admission{{bitset.MaskOf(2, 3), 0}, {bitset.MaskOf(2, 3), 1}},
+		},
+		{
+			name: "sets cover their group", grouping: oneGroup(4), aggs: []int64{50, 60, 70, 80},
+			steps: []admission{{bitset.MaskOf(0), 5}, {bitset.MaskOf(1), 5}, {bitset.MaskOf(2, 3), 5}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, aggs := tc.grouping.N, tc.aggs
+			log := memLog(t, tc.priors...)
+			ctx := context.Background()
+			c, err := headroom.Build(ctx, tc.grouping, aggs, log)
+			if err != nil {
 				t.Fatal(err)
 			}
-			c.Confirm()
-		} else {
-			rejected++
-		}
-		if step%50 == 49 {
-			res, err := c.Verify(ctx, log)
-			if err != nil {
-				t.Fatalf("step %d: Verify: %v", step, err)
+			everySet := func(when string) {
+				for s := bitset.Mask(1); s < 1<<n; s++ {
+					room, err := c.Headroom(s)
+					if drmerr.KindOf(err) == drmerr.KindCrossGroup {
+						continue
+					}
+					if want := oracleRoom(t, n, log, aggs, s); err != nil || room != want {
+						t.Fatalf("%s: Headroom(%v) = %d, %v; oracle %d", when, s, room, err, want)
+					}
+				}
 			}
-			if res.Skipped {
-				t.Fatalf("step %d: Verify skipped with no pending admissions", step)
+			everySet("before")
+			admitted, rejected := 0, 0
+			for step, a := range tc.steps {
+				want := oracleRoom(t, n, log, aggs, a.set)
+				count := a.count
+				if count == 0 {
+					count = want
+				}
+				room, ok, err := c.Admit(ctx, a.set, count)
+				if err != nil {
+					t.Fatalf("step %d Admit(%v, %d): %v", step, a.set, count, err)
+				}
+				if room != want || ok != (count <= want) {
+					t.Fatalf("step %d: Admit(%v, %d) = %d, %v; oracle room %d", step, a.set, count, room, ok, want)
+				}
+				if ok {
+					admitted++
+					if err := log.Append(logstore.Record{Set: a.set, Count: count}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					rejected++
+				}
+				if step%50 == 49 {
+					if _, err := c.Verify(ctx, log); err != nil {
+						t.Fatalf("step %d: Verify: %v", step, err)
+					}
+				}
 			}
-		}
-	}
-	if admitted == 0 || rejected == 0 {
-		t.Fatalf("sequence exercised only one outcome: admitted=%d rejected=%d", admitted, rejected)
-	}
-	if p := c.Pending(); p != 0 {
-		t.Fatalf("pending = %d after confirmed sequence", p)
-	}
-}
-
-// TestSpanGrowth admits sets that keep introducing unobserved licenses
-// and checks every admission stays exact as they join the flow network.
-func TestSpanGrowth(t *testing.T) {
-	grouping := overlap.Grouping{N: 6, Groups: []overlap.Group{
-		{Members: bitset.FullMask(6), Size: 6},
-	}}
-	aggs := []int64{100, 100, 100, 100, 100, 100}
-	log := memLog(t)
-	c, err := headroom.Build(context.Background(), grouping, aggs, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	steps := []bitset.Mask{
-		bitset.MaskOf(0), bitset.MaskOf(1, 2), bitset.MaskOf(0, 3),
-		bitset.MaskOf(4), bitset.MaskOf(2, 5),
-	}
-	for i, set := range steps {
-		want := oracleRoom(t, 6, log, aggs, set)
-		room, ok, err := c.Admit(ctx, set, 10)
-		if err != nil || !ok {
-			t.Fatalf("step %d Admit(%v): ok=%v err=%v", i, set, ok, err)
-		}
-		if room != want {
-			t.Fatalf("step %d: room = %d, oracle %d", i, room, want)
-		}
-		if err := log.Append(logstore.Record{Set: set, Count: 10}); err != nil {
-			t.Fatal(err)
-		}
-		c.Confirm()
-	}
-	if _, err := c.Verify(ctx, log); err != nil {
-		t.Fatalf("Verify after growth: %v", err)
-	}
-}
-
-// TestSparseMode checks every set's headroom in a group whose licenses
-// are all observed, then exhausts one set's room.
-func TestSparseMode(t *testing.T) {
-	grouping := overlap.Grouping{N: 5, Groups: []overlap.Group{
-		{Members: bitset.FullMask(5), Size: 5},
-	}}
-	aggs := []int64{100, 200, 300, 400, 500}
-	log := memLog(t,
-		logstore.Record{Set: bitset.MaskOf(0), Count: 40},
-		logstore.Record{Set: bitset.MaskOf(0, 1), Count: 30},
-		logstore.Record{Set: bitset.MaskOf(2, 3), Count: 250},
-		logstore.Record{Set: bitset.MaskOf(1, 4), Count: 60},
-	)
-	c, err := headroom.Build(context.Background(), grouping, aggs, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := bitset.Mask(1); s < 1<<5; s++ {
-		room, err := c.Headroom(s)
-		if err != nil {
-			t.Fatalf("Headroom(%v): %v", s, err)
-		}
-		if want := oracleRoom(t, 5, log, aggs, s); room != want {
-			t.Errorf("sparse Headroom(%v) = %d, oracle %d", s, room, want)
-		}
-	}
-	// Admissions still work and stay consistent with the log.
-	ctx := context.Background()
-	set := bitset.MaskOf(2, 3)
-	want := oracleRoom(t, 5, log, aggs, set)
-	room, ok, err := c.Admit(ctx, set, want)
-	if err != nil || !ok || room != want {
-		t.Fatalf("sparse Admit: room=%d ok=%v err=%v, want room=%d ok", room, ok, err, want)
-	}
-	if err := log.Append(logstore.Record{Set: set, Count: want}); err != nil {
-		t.Fatal(err)
-	}
-	c.Confirm()
-	if _, ok, _ := c.Admit(ctx, set, 1); ok {
-		t.Fatal("admission above exhausted budget accepted in sparse mode")
-	}
-	if _, err := c.Verify(ctx, log); err != nil {
-		t.Fatalf("Verify in sparse mode: %v", err)
-	}
-}
-
-// TestSpanOverflowDuringAdmit admits sets until they cover their group
-// and checks every set's headroom stays exact.
-func TestSpanOverflowDuringAdmit(t *testing.T) {
-	grouping := overlap.Grouping{N: 4, Groups: []overlap.Group{
-		{Members: bitset.FullMask(4), Size: 4},
-	}}
-	aggs := []int64{50, 60, 70, 80}
-	log := memLog(t)
-	c, err := headroom.Build(context.Background(), grouping, aggs, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i, set := range []bitset.Mask{bitset.MaskOf(0), bitset.MaskOf(1), bitset.MaskOf(2, 3)} {
-		want := oracleRoom(t, 4, log, aggs, set)
-		room, ok, err := c.Admit(ctx, set, 5)
-		if err != nil || !ok || room != want {
-			t.Fatalf("step %d Admit(%v): room=%d ok=%v err=%v, oracle %d", i, set, room, ok, err, want)
-		}
-		if err := log.Append(logstore.Record{Set: set, Count: 5}); err != nil {
-			t.Fatal(err)
-		}
-		c.Confirm()
-	}
-	for s := bitset.Mask(1); s < 1<<4; s++ {
-		room, err := c.Headroom(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := oracleRoom(t, 4, log, aggs, s); room != want {
-			t.Errorf("post-overflow Headroom(%v) = %d, oracle %d", s, room, want)
-		}
-	}
-	if _, err := c.Verify(ctx, log); err != nil {
-		t.Fatalf("Verify after overflow: %v", err)
+			if tc.bothOutcomes && (admitted == 0 || rejected == 0) {
+				t.Fatalf("sequence exercised only one outcome: admitted=%d rejected=%d", admitted, rejected)
+			}
+			everySet("after")
+			if _, err := c.Verify(ctx, log); err != nil {
+				t.Fatalf("Verify after the sequence: %v", err)
+			}
+		})
 	}
 }
 
@@ -336,10 +281,10 @@ func TestTopUp(t *testing.T) {
 	}
 }
 
-// TestRelease rolls back an admitted-but-unlogged reservation and checks
-// the cache returns to the exact pre-admission state, including a set
-// node that must go again.
-func TestRelease(t *testing.T) {
+// TestCreditUndoesAdmit takes back an admission whose log append failed
+// and checks the cache returns to what a build from the log derives,
+// including a set node that must go again.
+func TestCreditUndoesAdmit(t *testing.T) {
 	aggs := []int64{100, 100, 100, 100, 100, 100}
 	log := memLog(t, logstore.Record{Set: bitset.MaskOf(0), Count: 10})
 	c, err := headroom.Build(context.Background(), grouping2(), aggs, log)
@@ -347,30 +292,24 @@ func TestRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// The admitted set is new to the cache; the failed append must remove
-	// its node too.
+	// The admitted set is new to the cache; the undo must remove its
+	// node too.
 	set := bitset.MaskOf(1, 2)
 	if _, ok, err := c.Admit(ctx, set, 30); err != nil || !ok {
 		t.Fatalf("Admit: ok=%v err=%v", ok, err)
 	}
-	if p := c.Pending(); p != 1 {
-		t.Fatalf("pending = %d after Admit, want 1", p)
-	}
-	if err := c.Release(set, 30); err != nil {
+	if err := c.Credit(ctx, set, 30); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.Pending(); p != 0 {
-		t.Fatalf("pending = %d after Release, want 0", p)
-	}
 	if _, err := c.Verify(ctx, log); err != nil {
-		t.Fatalf("Verify after Release: %v", err)
+		t.Fatalf("Verify after the undo: %v", err)
 	}
 	room, err := c.Headroom(bitset.MaskOf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := oracleRoom(t, 6, log, aggs, bitset.MaskOf(1)); room != want {
-		t.Fatalf("post-release Headroom = %d, oracle %d", room, want)
+		t.Fatalf("Headroom after the undo = %d, oracle %d", room, want)
 	}
 }
 
@@ -382,7 +321,7 @@ func TestVerifyDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if res, err := c.Verify(ctx, log); err != nil || res.Skipped || res.Entries == 0 {
+	if res, err := c.Verify(ctx, log); err != nil || res.Entries == 0 {
 		t.Fatalf("clean Verify: res=%+v err=%v", res, err)
 	}
 	// A record appended behind the cache's back is exactly the corruption
@@ -399,26 +338,6 @@ func TestVerifyDetectsDivergence(t *testing.T) {
 	}
 	if drmerr.KindOf(err) != drmerr.KindHeadroomDivergence {
 		t.Fatalf("divergence kind = %v", drmerr.KindOf(err))
-	}
-}
-
-func TestVerifySkipsWithPendingAdmissions(t *testing.T) {
-	aggs := []int64{100, 100, 100, 100, 100, 100}
-	log := memLog(t)
-	c, err := headroom.Build(context.Background(), grouping2(), aggs, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, ok, err := c.Admit(ctx, bitset.MaskOf(3), 5); err != nil || !ok {
-		t.Fatalf("Admit: ok=%v err=%v", ok, err)
-	}
-	res, err := c.Verify(ctx, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Skipped || res.Pending != 1 {
-		t.Fatalf("Verify with in-flight admission: res=%+v, want skipped with pending=1", res)
 	}
 }
 
@@ -461,40 +380,61 @@ func TestAdmitInputValidation(t *testing.T) {
 			t.Errorf("Admit(%v, %d) kind = %v, want %v", tc.set, tc.count, drmerr.KindOf(err), tc.kind)
 		}
 	}
-	if p := c.Pending(); p != 0 {
-		t.Fatalf("rejected inputs left pending = %d", p)
-	}
 }
 
-// TestRebuildAfterRegrouping re-routes retained counts under a coarser
-// grouping (two groups merged into one) without replaying any log.
-func TestRebuildAfterRegrouping(t *testing.T) {
+// TestGrowthMergesGroups adds a license that overlaps both groups of a
+// built cache: one new sink edge and a coarser grouping, with no log
+// replay and no rebuild. Every headroom then equals the tree walk over
+// the grown corpus, sets spanning the old groups are admitted, Verify
+// stays clean, and the rejections of the merged groups carry over.
+func TestGrowthMergesGroups(t *testing.T) {
+	saved := headroom.M
+	headroom.Instrument(obs.NewRegistry())
+	defer func() { headroom.M = saved }()
+	ctx := context.Background()
 	aggs := []int64{100, 100, 100, 100, 100, 100}
 	log := memLog(t,
 		logstore.Record{Set: bitset.MaskOf(0, 1), Count: 40},
 		logstore.Record{Set: bitset.MaskOf(3, 4), Count: 70},
 	)
-	c, err := headroom.Build(context.Background(), grouping2(), aggs, log)
+	c, err := headroom.Build(ctx, grouping2(), aggs, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := overlap.Grouping{N: 6, Groups: []overlap.Group{
-		{Members: bitset.FullMask(6), Size: 6},
-	}}
-	if err := c.Rebuild(context.Background(), merged, aggs); err != nil {
+	if _, ok, err := c.Admit(ctx, bitset.MaskOf(3), 500); err != nil || ok {
+		t.Fatalf("over-budget Admit: ok=%v err=%v", ok, err)
+	}
+	builds := headroom.M.Rebuilds.Value()
+	merged := overlap.Grouping{N: 7, Groups: []overlap.Group{{Members: bitset.FullMask(7), Size: 7}}}
+	if err := c.Grow(merged, 80); err != nil {
 		t.Fatal(err)
 	}
-	// Under one group, formerly cross-group sets become valid.
-	for _, set := range []bitset.Mask{bitset.MaskOf(1, 4), bitset.MaskOf(0), bitset.MaskOf(3)} {
-		room, err := c.Headroom(set)
-		if err != nil {
-			t.Fatalf("Headroom(%v) after rebuild: %v", set, err)
-		}
-		if want := oracleRoom(t, 6, log, aggs, set); room != want {
-			t.Errorf("rebuilt Headroom(%v) = %d, oracle %d", set, room, want)
+	aggs = append(aggs, 80)
+	if got := headroom.M.Rebuilds.Value(); got != builds {
+		t.Fatalf("growth rebuilt the cache %d times", got-builds)
+	}
+	for s := bitset.Mask(1); s < 1<<7; s++ {
+		room, err := c.Headroom(s)
+		if want := oracleRoom(t, 7, log, aggs, s); err != nil || room != want {
+			t.Fatalf("Headroom(%v) after growth = %d, %v; oracle %d", s, room, err, want)
 		}
 	}
-	if _, err := c.Verify(context.Background(), log); err != nil {
-		t.Fatalf("Verify after rebuild: %v", err)
+	for _, set := range []bitset.Mask{bitset.MaskOf(1, 4), bitset.MaskOf(4, 6)} {
+		want := oracleRoom(t, 7, log, aggs, set)
+		if room, ok, err := c.Admit(ctx, set, 10); err != nil || !ok || room != want {
+			t.Fatalf("Admit(%v) after growth = %d, %v, %v; oracle %d", set, room, ok, err, want)
+		}
+		if err := log.Append(logstore.Record{Set: set, Count: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Verify(ctx, log); err != nil {
+		t.Fatalf("Verify after growth: %v", err)
+	}
+	if sums := c.Summaries(); len(sums) != 1 || sums[0].Rejections != 1 || sums[0].ObservedSets != 4 {
+		t.Fatalf("summaries after growth: %+v", sums)
+	}
+	if err := c.Grow(grouping2(), 10); drmerr.KindOf(err) != drmerr.KindCorpusMismatch {
+		t.Fatalf("Grow with a grouping that does not grow the corpus: %v", err)
 	}
 }

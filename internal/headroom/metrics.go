@@ -15,16 +15,16 @@ type Metrics struct {
 	Checks   *obs.Counter
 	Admitted *obs.Counter
 	Rejected *obs.Counter
-	// Rebuilds counts warm-ups and corpus-change rebuilds.
+	// Rebuilds counts builds from the log: warm-ups and Verify's shadow.
+	// Corpus growth does not rebuild.
 	Rebuilds *obs.Counter
-	// Verifies/VerifySkipped/Divergence cover the audit-as-verifier
-	// pass; Divergence counting up is an invariant failure.
-	Verifies      *obs.Counter
-	VerifySkipped *obs.Counter
-	Divergence    *obs.Counter
+	// Verifies/Divergence cover the audit-as-verifier pass; Divergence
+	// counting up is an invariant failure.
+	Verifies   *obs.Counter
+	Divergence *obs.Counter
 	// CheckSeconds is the wall time of one Admit (check + apply).
 	CheckSeconds *obs.Histogram
-	// Groups is the cache's group count after the last (re)build.
+	// Groups is the cache's group count after the last build or growth.
 	Groups *obs.Gauge
 }
 
@@ -39,15 +39,13 @@ func Instrument(reg *obs.Registry) {
 		Rejected: reg.Counter("drm_headroom_rejected_total",
 			"Admissions rejected by the headroom cache."),
 		Rebuilds: reg.Counter("drm_headroom_rebuilds_total",
-			"Cache warm-ups and corpus-change rebuilds."),
+			"Cache builds from the issuance log (warm-ups and verification shadows)."),
 		Verifies: reg.Counter("drm_headroom_verify_total",
 			"Completed cache-vs-log verification passes."),
-		VerifySkipped: reg.Counter("drm_headroom_verify_skipped_total",
-			"Verification passes skipped because reservations were in flight."),
 		Divergence: reg.Counter("drm_headroom_divergence_total",
 			"Verification passes that found the cache diverging from the log."),
 		CheckSeconds: reg.Histogram("drm_headroom_check_seconds",
-			"Wall time of one cached admission (check + reservation).", nil),
+			"Wall time of one cached admission (check + apply).", nil),
 		Groups: reg.Gauge("drm_headroom_groups",
 			"Overlap groups tracked by the headroom cache."),
 	}

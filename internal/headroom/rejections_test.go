@@ -25,7 +25,6 @@ func TestRejectionCounters(t *testing.T) {
 		if _, ok, err := c.Admit(ctx, set, 4); err != nil || !ok {
 			t.Fatalf("admit %d: ok=%v err=%v", i, ok, err)
 		}
-		c.Confirm()
 	}
 	for i := 0; i < 2; i++ {
 		if _, ok, err := c.Admit(ctx, set, 100); err != nil {

@@ -1,6 +1,7 @@
 // Verification: the audit-as-verifier inversion. With admission served
 // from the cache, batch audits stop being the gatekeeper and become the
-// invariant checker — after a clean audit the engine calls Verify, which
+// invariant checker — under the same lock as its log replay, an audit
+// calls Verify, which
 // rebuilds the cache from the issuance log and checks every cached count
 // and transfer total, and that the kept flow is feasible and maximum.
 // Any mismatch means the incremental maintenance drifted from ground
@@ -11,7 +12,7 @@ package headroom
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/drmerr"
@@ -25,12 +26,6 @@ var ErrDivergence = drmerr.Sentinel(drmerr.KindHeadroomDivergence,
 
 // VerifyResult summarises one verification pass.
 type VerifyResult struct {
-	// Skipped is true when in-flight reservations made the pass unsound
-	// (records admitted but possibly not yet in the log); Pending holds
-	// their count. Skipping is not an error: the next quiescent audit
-	// verifies.
-	Skipped bool  `json:"skipped"`
-	Pending int64 `json:"pending"`
 	// Groups and Entries count what was compared.
 	Groups  int `json:"groups"`
 	Entries int `json:"entries"`
@@ -40,18 +35,15 @@ type VerifyResult struct {
 // against it: every observed set's count and transfer total, then the
 // kept flow — feasible (no set sends more than its count; each license's
 // load is what its sets send it, within its budget) and maximum (its
-// value is the shadow's, so the deficits agree). The cache is locked
-// exclusively for the duration, so a verified snapshot is consistent;
-// admissions queue behind it. Divergence returns a typed error matching
+// value is the shadow's, so the deficits agree). The caller must hold
+// off appends for the duration, so the log it passes is the one the
+// cache has folded. Divergence returns a typed error matching
 // ErrDivergence.
 func (c *Cache) Verify(ctx context.Context, log logstore.Store) (VerifyResult, error) {
 	ctx, sp := trace.Start(ctx, "headroom.verify")
 	res, err := c.verify(ctx, log)
 	if sp != nil {
 		sp.SetInt("entries", int64(res.Entries))
-		if res.Skipped {
-			sp.SetAttr("skipped", "pending")
-		}
 		sp.Fail(err)
 		sp.End()
 	}
@@ -59,61 +51,49 @@ func (c *Cache) Verify(ctx context.Context, log logstore.Store) (VerifyResult, e
 }
 
 func (c *Cache) verify(ctx context.Context, log logstore.Store) (VerifyResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.pending.Load(); p > 0 {
-		M.VerifySkipped.Inc()
-		return VerifyResult{Skipped: true, Pending: p}, nil
-	}
 	shadow, err := build(ctx, c.grouping, c.aggs, log)
 	if err != nil {
 		return VerifyResult{}, err
 	}
-	res := VerifyResult{Groups: len(c.groups)}
-	for k, g := range c.groups {
-		g.mu.Lock()
-		err := c.verifyGroup(k, g, shadow.groups[k], &res)
-		g.mu.Unlock()
-		if err != nil {
-			M.Divergence.Inc()
-			return res, err
-		}
+	res := VerifyResult{Groups: c.grouping.NumGroups()}
+	if err := c.diff(shadow, &res); err != nil {
+		M.Divergence.Inc()
+		return res, err
 	}
 	M.Verifies.Inc()
 	return res, nil
 }
 
-// verifyGroup checks one live group against its shadow. Caller holds
-// c.mu and g.mu; sg is freshly built and unshared.
-func (c *Cache) verifyGroup(k int, g, sg *group, res *VerifyResult) error {
+// diff checks the live cache against its freshly built, unshared shadow.
+func (c *Cache) diff(shadow *Cache, res *VerifyResult) error {
 	diverge := func(format string, args ...any) error {
 		return drmerr.New(drmerr.KindHeadroomDivergence, "headroom.verify",
-			"headroom: group %d diverges from log: "+format, append([]any{k}, args...)...)
+			"headroom: cache diverges from log: "+format, args...)
 	}
-	if len(g.sets) != len(sg.sets) {
-		return diverge("%d cached observed sets, log has %d", len(g.sets), len(sg.sets))
+	if len(c.sets) != len(shadow.sets) {
+		return diverge("%d cached observed sets, log has %d", len(c.sets), len(shadow.sets))
 	}
-	for set, sn := range sg.sets {
+	for set, sn := range shadow.sets {
 		res.Entries++
-		if got := g.count(set); got != sn.cnt {
+		if got := c.count(set); got != sn.cnt {
 			return diverge("set %v cached count %d, log says %d", set, got, sn.cnt)
 		}
 	}
-	if len(g.xfer) != len(sg.xfer) {
-		return diverge("%d cached transfer sets, log has %d", len(g.xfer), len(sg.xfer))
+	if len(c.xfer) != len(shadow.xfer) {
+		return diverge("%d cached transfer sets, log has %d", len(c.xfer), len(shadow.xfer))
 	}
-	for set, n := range sg.xfer {
+	for set, n := range shadow.xfer {
 		res.Entries++
-		if got := g.xfer[set]; got != n {
+		if got := c.xfer[set]; got != n {
 			return diverge("set %v cached transfer total %d, log says %d", set, got, n)
 		}
 	}
 	// Feasible: every flow is non-negative, each set sends what its
 	// flows sum to and at most its count, and each license passes on
 	// exactly what its sets send it, within its budget.
-	load := make([]int64, len(g.load))
+	load := make([]int64, c.n)
 	var value int64
-	for set, n := range g.sets {
+	for set, n := range c.sets {
 		var out int64
 		for i, e := range set.Elems() {
 			if n.flow[i] < 0 {
@@ -127,17 +107,17 @@ func (c *Cache) verifyGroup(k int, g, sg *group, res *VerifyResult) error {
 		}
 		value += out
 	}
-	for _, e := range g.members.Elems() {
+	for e := range load {
 		res.Entries++
-		if load[e] != g.load[e] || load[e] > c.aggs[e] {
-			return diverge("license %d load %d, its sets send %d against budget %d", e+1, g.load[e], load[e], c.aggs[e])
+		if load[e] != c.load[e] || load[e] > c.aggs[e] {
+			return diverge("license %d load %d, its sets send %d against budget %d", e+1, c.load[e], load[e], c.aggs[e])
 		}
 	}
 	// Maximum: the value matches the shadow's fresh maximum flow, so the
-	// published deficit is the log's.
-	if value != sg.flow || g.flow != value || g.total != sg.total || g.deficit.Load() != sg.deficit.Load() {
-		return diverge("flow %d (kept as %d) of %d, deficit %d; log has flow %d of %d, deficit %d",
-			value, g.flow, g.total, g.deficit.Load(), sg.flow, sg.total, sg.deficit.Load())
+	// deficit is the log's.
+	if value != shadow.flow || c.flow != value || c.total != shadow.total {
+		return diverge("flow %d (kept as %d) of %d; log has flow %d of %d",
+			value, c.flow, c.total, shadow.flow, shadow.total)
 	}
 	return nil
 }
@@ -151,73 +131,61 @@ type GroupSummary struct {
 	Members string `json:"members"`
 	Size    int    `json:"size"`
 	// ObservedSets counts the sets with a positive net count — the
-	// nodes of the group's flow network.
+	// group's nodes of the flow network.
 	ObservedSets int `json:"observed_sets"`
 	// MinSlack is the group's tightest remaining slack (Unbounded when no
-	// set is observed yet); Deficit = min(0, MinSlack) is what other
-	// groups' admissions subtract.
+	// set is observed yet); Deficit = min(0, MinSlack), Σ(out − count)
+	// over the group's nodes, is what other groups' admissions subtract.
 	MinSlack  int64 `json:"min_slack"`
 	Unbounded bool  `json:"unbounded,omitempty"`
 	Deficit   int64 `json:"deficit"`
-	// Rejections counts admissions this group refused over the cache's
-	// lifetime.
+	// Rejections counts admissions refused for the group's sets over the
+	// cache's lifetime.
 	Rejections int64 `json:"rejections"`
 }
 
-// Summaries returns one summary per group, ordered by group index.
+// Summaries returns one summary per group, ordered by group index. A
+// group's least slack is the least local room of a license some
+// observed set holds — licenses no set holds only add budget — found by
+// one push per such license, each withdrawn again.
 func (c *Cache) Summaries() []GroupSummary {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]GroupSummary, len(c.groups))
-	for k, g := range c.groups {
-		g.mu.Lock()
-		ms := c.minSlack(g)
-		out[k] = GroupSummary{
-			Group:        k,
-			Members:      g.members.String(),
-			Size:         g.members.Len(),
-			ObservedSets: len(g.sets),
-			MinSlack:     ms,
-			Unbounded:    ms == unbounded,
-			Deficit:      g.deficit.Load(),
-			Rejections:   g.rejections.Load(),
+	out := make([]GroupSummary, c.grouping.NumGroups())
+	row := make([]*GroupSummary, c.n)
+	for k, g := range c.grouping.Groups {
+		out[k] = GroupSummary{Group: k, Members: g.Members.String(), Size: g.Size, MinSlack: unbounded}
+		g.Members.ForEach(func(e int) bool {
+			row[e] = &out[k]
+			out[k].Rejections += c.rejections[e]
+			return true
+		})
+	}
+	for _, n := range c.sets {
+		s := row[n.set.Min()]
+		s.ObservedSets++
+		s.Deficit += n.out - n.cnt
+	}
+	for e, s := range row {
+		if len(c.users[e]) > 0 {
+			n, sent, _ := c.reach(bitset.Mask(0).With(e))
+			s.MinSlack = min(s.MinSlack, sent+s.Deficit)
+			c.keep(n, sent, 0)
 		}
-		g.mu.Unlock()
+	}
+	for k := range out {
+		out[k].Unbounded = out[k].MinSlack == unbounded
 	}
 	return out
 }
 
-// minSlack returns the least slack of any non-empty equation in g — the
-// least local room of a license some observed set holds, since licenses
-// no set holds only add budget — or unbounded with no observed set.
-// Caller holds g.mu.
-func (c *Cache) minSlack(g *group) int64 {
-	best := unbounded
-	for _, e := range g.members.Elems() {
-		if len(g.users[e]) > 0 {
-			n, sent := c.reach(g, bitset.Mask(0).With(e))
-			best = min(best, sent+g.deficit.Load())
-			g.keep(n, sent, 0)
-		}
-	}
-	return best
-}
-
-// SampleSets returns up to max observed belongs-to sets spread across
-// groups, in ascending mask order — the sample audits re-derive headroom
-// for when cross-checking the cache against their own trees.
+// SampleSets returns up to max observed belongs-to sets, in ascending
+// mask order — the sample audits re-derive headroom for when
+// cross-checking the cache against their own trees.
 func (c *Cache) SampleSets(max int) []bitset.Mask {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var all []bitset.Mask
-	for _, g := range c.groups {
-		g.mu.Lock()
-		for set := range g.sets {
-			all = append(all, set)
-		}
-		g.mu.Unlock()
+	all := make([]bitset.Mask, 0, len(c.sets))
+	for set := range c.sets {
+		all = append(all, set)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	if max <= 0 || len(all) <= max {
 		return all
 	}

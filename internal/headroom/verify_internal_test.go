@@ -36,8 +36,7 @@ func TestVerifyCatchesCorruptFlow(t *testing.T) {
 	if _, err := c.Verify(ctx, log); err != nil {
 		t.Fatalf("clean Verify: %v", err)
 	}
-	g := c.groups[0]
-	n := g.sets[set]
+	n := c.sets[set]
 	e := 0
 	if n.flow[0] == 0 {
 		e = 1
@@ -46,11 +45,11 @@ func TestVerifyCatchesCorruptFlow(t *testing.T) {
 		name    string
 		corrupt func(delta int64)
 	}{
-		{"license load", func(d int64) { g.load[e] += d }},
+		{"license load", func(d int64) { c.load[e] += d }},
 		{"set flow", func(d int64) {
 			*n.at(e) -= d
 			n.out -= d
-			g.load[e] -= d
+			c.load[e] -= d
 		}},
 	} {
 		tc.corrupt(1)

@@ -330,7 +330,8 @@ func (g *Grouper) union(a, b int) {
 }
 
 // findRead resolves x's root without path halving, so concurrent readers
-// holding only a read lock (e.g. drmserver's stats endpoint) never write.
+// (drmserver's stats, status and contents endpoints, and a cache build
+// under the distributor's mutex) never write.
 func (g *Grouper) findRead(x int) int {
 	for g.parent[x] != x {
 		x = g.parent[x]
@@ -361,11 +362,13 @@ func (g *Grouper) NumGroups() int {
 func (g *Grouper) SameGroup(i, j int) bool { return g.find(i) == g.find(j) }
 
 // Grouping materialises the current partition in canonical order (groups
-// sorted by smallest member), matching what Algorithm 3 produces.
+// sorted by smallest member), matching what Algorithm 3 produces. Like
+// NumGroups it is read-only on the union-find, so it may run beside
+// other readers; Add still requires exclusive access.
 func (g *Grouper) Grouping() Grouping {
 	byRoot := make(map[int]bitset.Mask)
 	for i := range g.parent {
-		r := g.find(i)
+		r := g.findRead(i)
 		byRoot[r] = byRoot[r].With(i)
 	}
 	gr := Grouping{N: len(g.parent)}

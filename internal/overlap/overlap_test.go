@@ -399,3 +399,43 @@ func TestCutLicensesMatchRemovalOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestGrouperReadersRunTogether runs Grouping beside NumGroups and
+// RootOf on a built grouper: all three only read the union-find, so the
+// race detector must find nothing and every reader agrees.
+func TestGrouperReadersRunTogether(t *testing.T) {
+	schema := geometry.MustSchema(geometry.Axis{Name: "x", Kind: geometry.KindInterval})
+	g := NewGrouper(license.NewCorpus(schema))
+	// A chain of overlapping licenses added tail first builds a deep
+	// union-find; every fifth license starts a new group.
+	for i := int64(40); i > 0; i-- {
+		lo := 10 * i
+		if i%5 == 0 {
+			lo += 3 // clear of the next license
+		}
+		if _, err := g.Add(&license.License{
+			Name: "L", Kind: license.Redistribution, Content: "K", Permission: license.Play,
+			Rect:      geometry.MustRect(schema, geometry.IntervalValue(interval.New(lo, 10*i+12))),
+			Aggregate: 100,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := g.Grouping()
+	done := make(chan int)
+	for range 2 {
+		go func() {
+			n := 0
+			for range 200 {
+				n = max(n, g.NumGroups(), g.Grouping().NumGroups())
+				g.RootOf(39)
+			}
+			done <- n
+		}()
+	}
+	for range 2 {
+		if n := <-done; n != want.NumGroups() {
+			t.Fatalf("readers saw %d groups, want %d", n, want.NumGroups())
+		}
+	}
+}

@@ -151,6 +151,11 @@ func (s *Store) snapshotLocked(ctx context.Context) (SnapshotInfo, error) {
 	if err := s.stateErrLocked(); err != nil {
 		return SnapshotInfo{}, err
 	}
+	if s.snapSeg != 0 && s.seq == s.snapSeq {
+		// Nothing appended since the installed snapshot: it already is
+		// this checkpoint, so an idle drain writes and syncs nothing.
+		return SnapshotInfo{Records: s.snapLen, Seq: s.snapSeq, Segment: s.snapSeg, Offset: s.snapOff}, nil
+	}
 	start := time.Now()
 	if err := s.syncLocked(ctx); err != nil {
 		return SnapshotInfo{}, err
@@ -174,6 +179,7 @@ func (s *Store) snapshotLocked(ctx context.Context) (SnapshotInfo, error) {
 	s.snapLen = len(merged)
 	s.snapSeq = s.seq
 	s.snapSeg = s.segIdx
+	s.snapOff = s.size
 	s.sinceSnap = 0
 	s.lastSnap = time.Now()
 	info := SnapshotInfo{

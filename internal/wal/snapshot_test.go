@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/drmerr"
 	"repro/internal/logstore"
+	"repro/internal/obs"
 )
 
 // smallSeg keeps 4 frames per segment so snapshots and compaction have
@@ -231,5 +233,80 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	}
 	if err := s.Append(logstore.Record{Set: 1, Count: 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleSnapshotIsNoOp: a second snapshot with nothing appended since
+// the first reports the installed checkpoint and leaves it alone — same
+// inode, same bytes, no snapshot counted — as does the first snapshot
+// after a reopen; one more append makes the next snapshot install again.
+func TestIdleSnapshotIsNoOp(t *testing.T) {
+	saved := M
+	Instrument(obs.NewRegistry())
+	defer func() { M = saved }()
+	dir := t.TempDir()
+	path := filepath.Join(dir, snapshotFile)
+	installed := func() (os.FileInfo, []byte) {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi, b
+	}
+	s, err := Open(dir, smallSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range testRecords(10) {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, doc := installed()
+	idle := func(s *Store, when string) {
+		t.Helper()
+		info, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		info.Duration, first.Duration = 0, 0
+		if info != first {
+			t.Errorf("%s: idle snapshot info %+v, installed %+v", when, info, first)
+		}
+		if got, gotDoc := installed(); !os.SameFile(got, file) || !bytes.Equal(gotDoc, doc) {
+			t.Errorf("%s: idle snapshot reinstalled %s", when, path)
+		}
+		if n := M.Snapshots.Value(); n != 1 {
+			t.Errorf("%s: drm_wal_snapshots_total = %d, want 1", when, n)
+		}
+	}
+	idle(s, "second call")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, smallSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	idle(s, "after reopen")
+	if err := s.Append(logstore.Record{Set: 1, Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := installed(); info.Seq != 11 || os.SameFile(got, file) || M.Snapshots.Value() != 2 {
+		t.Fatalf("snapshot after an append: %+v, %d snapshots, same file %v", info, M.Snapshots.Value(), os.SameFile(got, file))
 	}
 }

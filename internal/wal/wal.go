@@ -204,6 +204,7 @@ type Store struct {
 	snapLen   int             // compacted entries in the installed snapshot
 	snapSeq   uint64          // watermark: records the snapshot aggregates
 	snapSeg   uint64          // watermark segment of the installed snapshot
+	snapOff   int64           // watermark offset in that segment
 	sinceSnap int             // appends since the last snapshot
 	lastSnap  time.Time
 
@@ -287,6 +288,7 @@ func (s *Store) recover() error {
 		s.seq = doc.Seq
 		s.snapSeq = doc.Seq
 		s.snapSeg = doc.Segment
+		s.snapOff = doc.Offset
 		s.snapLen = len(doc.Records)
 		s.rec.SnapshotRecords = len(doc.Records)
 	}
