@@ -47,6 +47,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-nope"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// The measuring modes are Go benchmarks or perfbench now.
+	for _, mode := range []string{"-recover", "-issue", "-lifecycle", "-repl"} {
+		err := run([]string{mode}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined flag", mode, err)
+		}
+	}
 }
 
 func TestRunCSVFormat(t *testing.T) {

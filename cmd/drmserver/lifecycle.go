@@ -156,9 +156,15 @@ func startSweeper(interval time.Duration, sweep func(context.Context)) (stop fun
 	return func() { cancel(); <-done }
 }
 
-// sweepExpired is the single-corpus sweeper tick.
+// sweepExpired is the single-corpus sweeper tick. It skips while the
+// distributor is a read-only replica: the leader sweeps, and its expire
+// records ship. Promotion clears the gate, and the next tick sweeps.
 func (s *server) sweepExpired(ctx context.Context) {
-	res, err := s.currentAPI().dist.ExpireSweep(ctx, time.Now())
+	dist := s.currentAPI().dist
+	if dist.ReadOnly() {
+		return
+	}
+	res, err := dist.ExpireSweep(ctx, time.Now())
 	if err != nil && !drmerr.IsCancellation(err) {
 		logger.Error("expiry sweep failed", "err", err)
 		return

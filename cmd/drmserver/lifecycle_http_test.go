@@ -1,7 +1,11 @@
 package main
 
 import (
+	"context"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +84,51 @@ func TestExpireEndpoint(t *testing.T) {
 	}
 	if st.Expired != 1 || st.ExpiredCounts != 120 {
 		t.Fatalf("stats = %+v, want 1 expiry of 120", st)
+	}
+}
+
+// TestSweeperSkipsReadOnly: a follower's distributor is read-only, so
+// the sweeper's tick skips it, logging nothing at ERROR and appending
+// nothing; after promotion clears the gate, one tick debits the due
+// bucket.
+func TestSweeperSkipsReadOnly(t *testing.T) {
+	var logBuf syncBuffer
+	oldLogger := logger
+	logger = slog.New(slog.NewTextHandler(&logBuf, nil))
+	t.Cleanup(func() { logger = oldLogger })
+
+	srv, ex := testServer(t, engine.ModeOnline)
+	api := srv.currentAPI()
+	ctx := context.Background()
+	// Expiry 1 (Unix seconds) is long past: the bucket is due now.
+	if _, err := api.dist.IssueTTLContext(ctx, license.Usage, ex.Usage1.Rect, 40, 1); err != nil {
+		t.Fatal(err)
+	}
+	seq := api.wal.Seq()
+
+	api.dist.SetReadOnly(true)
+	srv.sweepExpired(ctx)
+	if strings.Contains(logBuf.String(), "level=ERROR") {
+		t.Errorf("read-only tick logged an error:\n%s", logBuf.String())
+	}
+	if got := api.wal.Seq(); got != seq {
+		t.Errorf("read-only tick appended: seq %d -> %d", seq, got)
+	}
+	// An explicit sweep on the replica is still refused, typed.
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	var e errorBody
+	if code := postJSON(t, ts.URL+"/v1/expire", expireRequest{}, &e); code != http.StatusForbidden || e.Kind != "read_only" {
+		t.Errorf("POST /v1/expire on a replica = %d %q, want 403 read_only", code, e.Kind)
+	}
+
+	api.dist.SetReadOnly(false)
+	srv.sweepExpired(ctx)
+	if st := api.dist.Stats(); st.Expired != 1 || st.ExpiredCounts != 40 {
+		t.Errorf("promoted tick: stats = %+v, want 1 expiry of 40", st)
+	}
+	if got := api.wal.Seq(); got != seq+1 {
+		t.Errorf("promoted tick: seq %d -> %d, want one expire record", seq, got)
 	}
 }
 

@@ -374,26 +374,19 @@ func run() error {
 }
 
 // openLog opens (creating if needed) the single-corpus WAL at path. A
-// JSONL log — a regular file at path, or -log-backend jsonl — is refused
-// untouched with a *wal.MigrationError naming the drmaudit run that
-// converts it into the WAL directory beside it.
+// JSONL log, a regular file at path, is refused untouched with a
+// *wal.MigrationError naming the drmaudit run that converts it into the
+// WAL directory beside it. Any backend but wal is refused after that.
 func openLog(corpusPath, path, backend string, walOpts wal.Options) (*wal.Store, error) {
-	refuse := func() error {
+	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
 		dir := strings.TrimSuffix(path, filepath.Ext(path)) + ".wal"
 		if dir == path {
 			dir += ".wal"
 		}
-		return &wal.MigrationError{Corpus: corpusPath, Log: path, WAL: dir}
+		return nil, &wal.MigrationError{Corpus: corpusPath, Log: path, WAL: dir}
 	}
-	switch backend {
-	case "wal":
-	case "jsonl":
-		return nil, refuse()
-	default:
+	if backend != "wal" {
 		return nil, fmt.Errorf("unknown -log-backend %q (want wal)", backend)
-	}
-	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
-		return nil, refuse()
 	}
 	return wal.Open(path, walOpts)
 }

@@ -77,9 +77,10 @@ func TestAckedIssuesSurviveCrash(t *testing.T) {
 	}
 }
 
-// TestOpenLogRefusesJSONL: a JSONL log, as a regular file at -log or
-// under -log-backend jsonl, is refused with the command that migrates
-// it, and the file keeps its bytes.
+// TestOpenLogRefusesJSONL: a JSONL log, a regular file at -log, is
+// refused under any -log-backend with the command that migrates it, and
+// the file keeps its bytes. With nothing at -log, a backend other than
+// wal is unknown: no migration is proposed and nothing is created.
 func TestOpenLogRefusesJSONL(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "issued.jsonl")
@@ -103,6 +104,12 @@ func TestOpenLogRefusesJSONL(t *testing.T) {
 	}
 	if _, err := openLog("corpus.json", path, "csv", wal.Options{}); err == nil {
 		t.Error("-log-backend csv accepted")
+	}
+	absent := filepath.Join(dir, "issued.wal")
+	_, err := openLog("corpus.json", absent, "jsonl", wal.Options{})
+	var merr *wal.MigrationError
+	if err == nil || errors.As(err, &merr) {
+		t.Errorf("-log-backend jsonl with no log: err = %v, want an unknown-backend error", err)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Errorf("refusals left %d entries in the log's directory, want 1", len(entries))
