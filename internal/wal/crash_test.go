@@ -672,6 +672,15 @@ func TestCrashRecoveryBufferBoundaries(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryPortableCRC recovers TestCrashRecoveryBufferBoundaries'
+// logs with the package switched to its portable path, so that recovery's
+// run check also goes through recordRunPortable where the CPU has the
+// CRC32 instruction.
+func TestCrashRecoveryPortableCRC(t *testing.T) {
+	portableCRC(t)
+	TestCrashRecoveryBufferBoundaries(t)
+}
+
 // TestTornTailScanFindsStraddlingFrame plants one valid frame, v1 or v2,
 // in debris at every offset around a read boundary of the bad-frame
 // scan: the reads' ledgerFrameSize−1 overlap must find it whether or not

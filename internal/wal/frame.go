@@ -55,67 +55,51 @@ const (
 	maxPayloadSize = 1 << 16
 )
 
-// castagnoli is the CRC32C table (the polynomial with hardware support
-// on amd64/arm64, and the one storage formats conventionally use).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli returns hash/crc32's CRC32C (Castagnoli) table, which
+// hash/crc32 makes on the first call rather than when the package loads.
+func castagnoli() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) }
 
-// recordCRC is slicing-by-16 for the one payload length nearly every
-// frame has. A CRC over a fixed length is affine in the payload bytes:
-// the CRC of the all-zero payload, xored with one entry per byte,
-// byteAt[k][v] being what byte value v at offset k adds. It is held by
-// pointer so that the lookups index the tables from one register
-// rather than loading each table's address, one instruction fewer per
-// lookup.
-var recordCRC = newRecordCRC()
+// checksum returns the CRC32C (Castagnoli) of a frame payload, which
+// hash/crc32 computes with the CPU's CRC32C instruction where it has one.
+func checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli()) }
 
-type recordCRCTable struct {
-	zero   uint32
-	byteAt [recordPayloadSize][256]uint32
+// hasCRC32C reports whether recordRun takes the hardware path,
+// recordRunHW, rather than recordRunPortable. It is set once, from
+// CPUID, when the package loads.
+var hasCRC32C = cpuHasCRC32C()
+
+// recordRun returns how many whole v1 frames at the start of b, up to
+// the first that fails, pass every check parseFrame gives a v1 frame:
+// the length prefix names the v1 payload, the CRC32C matches, and the
+// payload holds a non-empty set and a positive count, which is all
+// Validate asks of a v1 record (kind issue, no expiry). It checks at
+// most len(b)/recordFrameSize frames.
+func recordRun(b []byte) int {
+	if hasCRC32C {
+		return recordRunHW(b)
+	}
+	return recordRunPortable(b)
 }
 
-func newRecordCRC() *recordCRCTable {
-	t := new(recordCRCTable)
-	// A byte at offset k passes through the register and then 15−k
-	// zero bytes; each zero byte is one reflected table step.
-	t.byteAt[recordPayloadSize-1] = *castagnoli
-	for k := recordPayloadSize - 2; k >= 0; k-- {
-		for v, c := range t.byteAt[k+1] {
-			t.byteAt[k][v] = castagnoli[byte(c)] ^ c>>8
+// recordRunPortable is recordRun through hash/crc32.
+func recordRunPortable(b []byte) int {
+	n := 0
+	for ; len(b) >= recordFrameSize; b = b[recordFrameSize:] {
+		set, count := recordFields(b)
+		if binary.LittleEndian.Uint32(b[0:4]) != recordPayloadSize || set == 0 || count <= 0 ||
+			checksum(b[frameHeaderSize:recordFrameSize]) != binary.LittleEndian.Uint32(b[4:8]) {
+			break
 		}
+		n++
 	}
-	// The initial register ^0 enters as 0xff in each of the first four
-	// bytes, and the result is complemented.
-	reg := uint32(0)
-	for k := range 4 {
-		reg ^= t.byteAt[k][0xff]
-	}
-	t.zero = ^reg
-	return t
+	return n
 }
 
-// recordChecksum returns the CRC32C (Castagnoli) of a v1 payload, as
-// crc32.Checksum would, with no call chain and no length dispatch. The
-// four partial sums let the lookups overlap.
-func recordChecksum(p *[recordPayloadSize]byte) uint32 {
-	t := &recordCRC.byteAt
-	x0 := t[0][p[0]] ^ t[1][p[1]] ^ t[2][p[2]] ^ t[3][p[3]]
-	x1 := t[4][p[4]] ^ t[5][p[5]] ^ t[6][p[6]] ^ t[7][p[7]]
-	x2 := t[8][p[8]] ^ t[9][p[9]] ^ t[10][p[10]] ^ t[11][p[11]]
-	x3 := t[12][p[12]] ^ t[13][p[13]] ^ t[14][p[14]] ^ t[15][p[15]]
-	return recordCRC.zero ^ (x0 ^ x1) ^ (x2 ^ x3)
-}
-
-// decodeRecordFrame decodes f as a v1 frame: ok reports that its length
-// prefix names the v1 payload, that the payload's CRC32C matches, and
-// that it holds a non-empty set and a positive count, which is all
-// Validate asks of a v1 record (kind issue, no expiry).
-func decodeRecordFrame(f *[recordFrameSize]byte) (set bitset.Mask, count int64, ok bool) {
-	p := (*[recordPayloadSize]byte)(f[frameHeaderSize:])
-	set = bitset.Mask(binary.LittleEndian.Uint64(p[0:8]))
-	count = int64(binary.LittleEndian.Uint64(p[8:16]))
-	ok = binary.LittleEndian.Uint32(f[0:4]) == recordPayloadSize &&
-		recordChecksum(p) == binary.LittleEndian.Uint32(f[4:8]) && set != 0 && count > 0
-	return set, count, ok
+// recordFields returns the set and count of the v1 frame at the start
+// of f, checked or not.
+func recordFields(f []byte) (bitset.Mask, int64) {
+	f = f[:recordFrameSize]
+	return bitset.Mask(binary.LittleEndian.Uint64(f[8:16])), int64(binary.LittleEndian.Uint64(f[16:24]))
 }
 
 // frameSize returns the encoded size of r's frame.
@@ -127,27 +111,27 @@ func frameSize(r logstore.Record) int64 {
 }
 
 // appendFrame appends r's frame to buf and returns the extended slice.
+// The payload is written in place and the CRC32C filled in after it.
 func appendFrame(buf []byte, r logstore.Record) []byte {
+	start := len(buf)
 	if r.Kind == logstore.KindIssue && r.Expiry == 0 {
-		var payload [recordPayloadSize]byte
-		binary.LittleEndian.PutUint64(payload[0:8], uint64(r.Set))
-		binary.LittleEndian.PutUint64(payload[8:16], uint64(r.Count))
 		buf = binary.LittleEndian.AppendUint32(buf, recordPayloadSize)
-		buf = binary.LittleEndian.AppendUint32(buf, recordChecksum(&payload))
-		return append(buf, payload[:]...)
+		buf = append(buf, 0, 0, 0, 0)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Set))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Count))
+	} else {
+		stored := r.Effective()
+		if r.Kind == logstore.KindTransfer {
+			stored = r.Count
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, ledgerPayloadSize)
+		buf = append(buf, 0, 0, 0, 0, byte(r.Kind))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Set))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(stored))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Expiry))
 	}
-	stored := r.Effective()
-	if r.Kind == logstore.KindTransfer {
-		stored = r.Count
-	}
-	var payload [ledgerPayloadSize]byte
-	payload[0] = byte(r.Kind)
-	binary.LittleEndian.PutUint64(payload[1:9], uint64(r.Set))
-	binary.LittleEndian.PutUint64(payload[9:17], uint64(stored))
-	binary.LittleEndian.PutUint64(payload[17:25], uint64(r.Expiry))
-	buf = binary.LittleEndian.AppendUint32(buf, ledgerPayloadSize)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload[:], castagnoli))
-	return append(buf, payload[:]...)
+	binary.LittleEndian.PutUint32(buf[start+4:], checksum(buf[start+frameHeaderSize:]))
+	return buf
 }
 
 // frameStatus classifies one parse attempt.
@@ -182,14 +166,14 @@ func parseFrame(b []byte) (rec logstore.Record, n int, status frameStatus) {
 		return rec, 0, frameShort
 	}
 	if length == recordPayloadSize {
-		set, count, ok := decodeRecordFrame((*[recordFrameSize]byte)(b))
-		if !ok {
+		if recordRun(b[:recordFrameSize]) == 0 {
 			return rec, 0, frameCorrupt
 		}
+		set, count := recordFields(b)
 		return logstore.Record{Set: set, Count: count}, recordFrameSize, frameOK
 	}
 	payload := b[frameHeaderSize:ledgerFrameSize]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+	if checksum(payload) != binary.LittleEndian.Uint32(b[4:8]) {
 		return rec, 0, frameCorrupt
 	}
 	kind := logstore.Kind(payload[0])

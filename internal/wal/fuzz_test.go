@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"maps"
 	"os"
 	"slices"
@@ -191,5 +193,39 @@ func FuzzRecoverSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkRecovery(t, "fuzzed segment", append(encodeSegmentHeader(0), body...))
+	})
+}
+
+// FuzzRecordRun requires both run checks to take, from arbitrary bytes,
+// exactly the frames referenceParseFrame accepts as v1 (see
+// checkRecordRun). Each input is checked again with every whole frame's
+// CRC resealed, which carries a mutation past the checksum to the
+// length, set and count checks.
+func FuzzRecordRun(f *testing.F) {
+	var run []byte
+	for i := range 4 {
+		run = append(run, sealedRecordFrame(uint64(3<<i), int64(7+i))...)
+	}
+	f.Add(run)
+	f.Add(run[:len(run)-1])
+	for _, bad := range [][]byte{sealedRecordFrame(0, 5), sealedRecordFrame(3, 0), sealedRecordFrame(3, -5)} {
+		f.Add(append(slices.Clone(run[:2*recordFrameSize]), bad...))
+	}
+	flipped := slices.Clone(run)
+	flipped[recordFrameSize+11] ^= 0x40
+	f.Add(flipped)
+	longer := slices.Clone(run) // a length prefix only the length check refuses
+	longer[2*recordFrameSize] = recordPayloadSize + 1
+	f.Add(longer)
+	f.Add(appendFrame(slices.Clone(run), logstore.Record{Kind: logstore.KindRevoke, Set: 3, Count: 1}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkRecordRun(t, "fuzzed bytes", b)
+		sealed := slices.Clone(b)
+		for off := 0; len(sealed)-off >= recordFrameSize; off += recordFrameSize {
+			payload := sealed[off+frameHeaderSize : off+recordFrameSize]
+			binary.LittleEndian.PutUint32(sealed[off+4:], crc32.Checksum(payload, referenceCastagnoli))
+		}
+		checkRecordRun(t, "resealed bytes", sealed)
 	})
 }

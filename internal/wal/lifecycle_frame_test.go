@@ -148,7 +148,7 @@ func rewriteFrame(t *testing.T, path string, off int, mutate func(payload []byte
 	length := binary.LittleEndian.Uint32(data[off : off+4])
 	payload := data[off+frameHeaderSize : off+frameHeaderSize+int(length)]
 	mutate(payload)
-	binary.LittleEndian.PutUint32(data[off+4:off+8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(data[off+4:off+8], crc32.Checksum(payload, referenceCastagnoli))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (d *snapshotDoc) crcOf() uint32 {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Expiry))
 		}
 	}
-	return crc32.Checksum(buf, castagnoli)
+	return crc32.Checksum(buf, castagnoli())
 }
 
 // loadSnapshot reads and verifies the checkpoint, returning nil when the

@@ -495,23 +495,22 @@ func scanFrames(f io.ReaderAt, off, size int64, fold *logstore.Fold, buf []byte)
 // ledgerFrameSize bytes are buffered, or, at the end of the file, while
 // the whole frame is, which is the scan loop's own condition for
 // parsing; the first frame that is not a whole, valid v1 frame ends the
-// run and is left to parseFrame. Each frame gets the checks parseFrame
-// gives it: its length prefix, its CRC32C, and Validate's demands of a
-// v1 record. Folding a plain credit cannot fail, so no frame needs a
-// Record or a call to Observe.
+// run and is left to parseFrame. recordRun gives each frame the checks
+// parseFrame gives it: its length prefix, its CRC32C, and Validate's
+// demands of a v1 record. Folding a plain credit cannot fail, so no
+// frame needs a Record or a call to Observe.
 func foldRecordRun(b []byte, eof bool, fold *logstore.Fold) int {
 	keep := ledgerFrameSize
 	if eof {
 		keep = recordFrameSize
 	}
-	n := 0
-	for len(b)-n >= keep {
-		set, count, ok := decodeRecordFrame((*[recordFrameSize]byte)(b[n:]))
-		if !ok {
-			break
-		}
-		fold.Credit(set, count)
-		n += recordFrameSize
+	if len(b) < keep {
+		return 0
+	}
+	// Frame k is taken while len(b)-k*recordFrameSize >= keep.
+	n := recordRun(b[:((len(b)-keep)/recordFrameSize+1)*recordFrameSize]) * recordFrameSize
+	for off := 0; off < n; off += recordFrameSize {
+		fold.Credit(recordFields(b[off:]))
 	}
 	return n
 }
