@@ -113,9 +113,8 @@ func (s *catalogServer) entry(h func(corpusAPI, http.ResponseWriter, *http.Reque
 				"no corpus for (%s, %s)", content, perm))
 			return
 		}
-		api := corpusAPI{corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.Log}
-		t := s.obs.slo.Entry(content + "/" + string(perm))
-		entryObserved(t, func(w http.ResponseWriter, r *http.Request) { h(api, w, r) })(w, r)
+		observeEntry(w, s.obs.slo.Entry(content+"/"+string(perm)))
+		h(corpusAPI{corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.Log}, w, r)
 	}
 }
 

@@ -68,9 +68,13 @@ func (s *server) currentAPI() corpusAPI {
 }
 
 // entry adapts a corpusAPI method to an http.HandlerFunc resolving the
-// current API per request.
+// current API per request. Single-corpus mode has one catalog entry,
+// tracked under "corpus", so /v1/slo and /v1/status expose the same
+// entry-scoped windows catalog mode does, fed by every entry route.
 func (s *server) entry(h func(corpusAPI, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	window := s.obs.slo.Entry("corpus")
 	return func(w http.ResponseWriter, r *http.Request) {
+		observeEntry(w, window)
 		h(s.currentAPI(), w, r)
 	}
 }
@@ -254,6 +258,18 @@ func runRouter(addr string, cf clusterFlags) error {
 	rt.Start()
 	defer rt.Stop()
 
+	mode := "proxy"
+	if cf.redirect {
+		mode = "redirect"
+	}
+	logger.Info("drmserver routing", "peers", len(peers), "addr", addr,
+		"forward", mode, "probe_interval", cf.probeInterval.String())
+	return serve(addr, routerRoutes(o, rt), o)
+}
+
+// routerRoutes mounts the router's surface: the shared observability
+// routes, the fleet views, and the catch-all proxy.
+func routerRoutes(o *serverObs, rt *cluster.Router) http.Handler {
 	mux := http.NewServeMux()
 	o.mountCommon(mux)
 	o.wrap(mux, "GET /v1/cluster", rt.HandleCluster)
@@ -262,13 +278,8 @@ func runRouter(addr string, cf clusterFlags) error {
 	// Everything else is someone else's request: forward it to the
 	// owning shard (or 307 there with -redirect). The empty pattern
 	// names each root span "METHOD /path" so the router's fragment of a
-	// forwarded request lines up with the peer's root by name.
-	mux.Handle("/", traced("", o.httpm.Wrap("proxy", http.Handler(rt))))
-	mode := "proxy"
-	if cf.redirect {
-		mode = "redirect"
-	}
-	logger.Info("drmserver routing", "peers", len(peers), "addr", addr,
-		"forward", mode, "probe_interval", cf.probeInterval.String())
-	return serve(addr, mux, o)
+	// forwarded request lines up with the peer's root by name; it feeds
+	// no SLO window, since the peer that serves it already counts it.
+	mux.Handle("/", o.observed("", nil, rt.ServeHTTP))
+	return mux
 }

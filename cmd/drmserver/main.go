@@ -568,27 +568,24 @@ func newServer(corpus *license.Corpus, store *wal.Store, mode engine.Mode, worke
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	s.obs.mountCommon(mux)
-	// Single-corpus mode has one catalog entry; track it under "corpus"
-	// so /v1/slo and /v1/status expose the same entry-scoped windows the
-	// catalog mode does. Handlers resolve the current corpusAPI per
-	// request through s.entry, so a follower re-bootstrap's store swap
-	// is visible without remounting.
-	entry := s.obs.slo.Entry("corpus")
+	// Handlers resolve the current corpusAPI per request through
+	// s.entry, so a follower re-bootstrap's store swap is visible
+	// without remounting.
 	s.obs.wrap(mux, "GET /v1/corpus", s.entry(corpusAPI.handleCorpus))
 	s.obs.wrap(mux, "GET /v1/groups", s.entry(corpusAPI.handleGroups))
-	s.obs.wrap(mux, "POST /v1/issue", entryObserved(entry, s.entry(corpusAPI.handleIssue)))
-	s.obs.wrap(mux, "POST /v1/revoke", entryObserved(entry, s.entry(corpusAPI.handleRevoke)))
-	s.obs.wrap(mux, "POST /v1/transfer", entryObserved(entry, s.entry(corpusAPI.handleTransfer)))
-	s.obs.wrap(mux, "POST /v1/expire", entryObserved(entry, s.entry(corpusAPI.handleExpire)))
-	s.obs.wrap(mux, "GET /v1/audit", entryObserved(entry, s.entry(corpusAPI.handleAudit)))
+	s.obs.wrap(mux, "POST /v1/issue", s.entry(corpusAPI.handleIssue))
+	s.obs.wrap(mux, "POST /v1/revoke", s.entry(corpusAPI.handleRevoke))
+	s.obs.wrap(mux, "POST /v1/transfer", s.entry(corpusAPI.handleTransfer))
+	s.obs.wrap(mux, "POST /v1/expire", s.entry(corpusAPI.handleExpire))
+	s.obs.wrap(mux, "GET /v1/audit", s.entry(corpusAPI.handleAudit))
 	s.obs.wrap(mux, "GET /v1/stats", s.entry(corpusAPI.handleStats))
 	s.obs.wrap(mux, "GET /v1/headroom", s.obs.drainGuard(s.entry(corpusAPI.handleHeadroom)))
 	s.obs.wrap(mux, "POST /v1/snapshot", s.entry(corpusAPI.handleSnapshot))
 	// Replication: the serving side every single-corpus server exposes, plus
-	// the follower's promotion trigger. Untracked like the health probes
-	// — a follower's poll loop must not burn the SLO budget.
-	s.obs.wrapUntracked(mux, "GET /v1/repl/wal", s.handleReplWAL)
-	s.obs.wrapUntracked(mux, "GET /v1/repl/snapshot", s.handleReplSnapshot)
+	// the follower's promotion trigger. No SLO window, like the health
+	// probes: a follower's poll loop must not burn the SLO budget.
+	mux.Handle("GET /v1/repl/wal", s.obs.observed("GET /v1/repl/wal", nil, s.handleReplWAL))
+	mux.Handle("GET /v1/repl/snapshot", s.obs.observed("GET /v1/repl/snapshot", nil, s.handleReplSnapshot))
 	s.obs.wrap(mux, "POST /v1/promote", s.handlePromote)
 	return mux
 }

@@ -85,9 +85,6 @@ func newServerObs(ready func() error) *serverObs {
 		start: time.Now(),
 		ready: ready,
 	}
-	// Metric→trace exemplars: traced requests stamp their trace ID on
-	// the latency bucket they land in.
-	o.httpm.ExemplarID = trace.IDFromContext
 	// Heavy-hitter attribution follows the InstrumentAll discipline: the
 	// package hook points at the most recently constructed server.
 	engine.Hitters = o.slo.Hitters()
@@ -100,55 +97,11 @@ func newServerObs(ready func() error) *serverObs {
 	return o
 }
 
-// wrap mounts h on mux instrumented under the route pattern: a root
-// trace span covering the whole request, SLO window/burn tracking, then
-// request counts by status class and a latency histogram.
+// wrap mounts h on mux under the route pattern behind the request
+// middleware, feeding the pattern's endpoint SLO window. Routes that
+// must not burn the SLO budget mount with observed and a nil window.
 func (o *serverObs) wrap(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	mux.Handle(pattern, traced(pattern, o.sloObserved(o.slo.Endpoint(pattern), o.httpm.Wrap(pattern, h))))
-}
-
-// wrapUntracked is wrap without the SLO layer — health and readiness
-// probes answer 503 by design (drain, warm-up) and must not burn the
-// availability budget.
-func (o *serverObs) wrapUntracked(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	mux.Handle(pattern, traced(pattern, o.httpm.Wrap(pattern, h)))
-}
-
-// sloObserved feeds the endpoint's sliding window and burn ring: 5xx
-// responses burn the availability budget, requests at or over the
-// latency threshold burn the latency budget and have their traces
-// force-retained so the exemplars pointing at them stay resolvable in
-// /debug/traces.
-func (o *serverObs) sloObserved(t *slo.Tracker, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &traceStatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		d := time.Since(start)
-		t.Observe(d, status >= 500)
-		if thr := o.slo.LatencyThreshold(); thr > 0 && d >= thr {
-			trace.SpanFromContext(r.Context()).Retain()
-		}
-	})
-}
-
-// entryObserved feeds one catalog entry's sliding window, inside the
-// endpoint instrumentation.
-func entryObserved(t *slo.Tracker, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &traceStatusWriter{ResponseWriter: w}
-		next(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		t.Observe(time.Since(start), status >= 500)
-	}
+	mux.Handle(pattern, o.observed(pattern, o.slo.Endpoint(pattern), h))
 }
 
 // drainGuard refuses requests with a typed 503 once graceful shutdown
@@ -188,86 +141,133 @@ func (o *serverObs) startTelemetry(every time.Duration) (stop func()) {
 	return func() { close(done); wg.Wait() }
 }
 
-// traceStatusWriter records the response status for the root span and
-// the request log line.
-type traceStatusWriter struct {
+// observeWriter is the one status-capturing ResponseWriter. The
+// middleware reads the status from it; an entry route's resolver sets
+// on it the catalog entry whose SLO window the request feeds.
+type observeWriter struct {
 	http.ResponseWriter
 	status int
+	entry  *slo.Tracker
 }
 
-func (w *traceStatusWriter) WriteHeader(code int) {
+func (w *observeWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *traceStatusWriter) Write(b []byte) (int, error) {
+func (w *observeWriter) Write(b []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
 }
 
-// traced starts a root span named by the route pattern around next, so
-// every layer below (engine, core, vtree, logstore, wal) hangs its spans
-// off this request's trace. An incoming traceparent header (a request
-// forwarded by the router, or a follower's replication fetch) is
-// extracted first: the root then continues the upstream trace ID
-// instead of minting one, which is what lets /v1/cluster/traces/{id}
-// merge the per-process fragments. An empty pattern (the router's
-// catch-all proxy route) names the root "METHOD /path" per request, so
-// router roots line up with the leader roots they forward to. After the
-// handler returns it marks error status (>= 400 — tail-sampling then
-// always retains the trace), ends the root, and emits the request log
-// line with the span-carrying context, so the line and any error body
-// share one trace_id. With tracing off it is a pass-through.
-func traced(pattern string, next http.Handler) http.Handler {
+// observeEntry names the catalog entry window t as the one this request
+// feeds; the middleware observes it with the endpoint's. Outside the
+// middleware it does nothing.
+func observeEntry(w http.ResponseWriter, t *slo.Tracker) {
+	if ow, ok := w.(*observeWriter); ok {
+		ow.entry = t
+	}
+}
+
+// observed is the one request middleware. It times the request once and
+// captures its status once, then feeds that (duration, status) to:
+//
+//   - the root span, so every layer below (engine, core, vtree,
+//     logstore, wal) hangs its spans off this request's trace;
+//   - the endpoint's request counter, latency histogram (with the trace
+//     ID as exemplar) and the in-flight gauge;
+//   - the endpoint SLO window, nil for probes, replication and the
+//     router's proxy, which must not burn the budget;
+//   - the entry window the route's resolver set (observeEntry);
+//   - the request log line, written only for a failed request (≥ 400,
+//     at WARN or ERROR) or one at or over the latency threshold on a
+//     tracked route (at INFO).
+//
+// An incoming traceparent header (a request forwarded by the router, or
+// a follower's replication fetch) is continued: the root adopts the
+// upstream trace ID, which is what lets /v1/cluster/traces/{id} merge
+// the per-process fragments. An empty pattern (the router's catch-all
+// proxy) names the root "METHOD /path" per request, so router roots
+// line up with the leader roots they forward to, and labels the metrics
+// "proxy". A failed request marks its root failed and a slow tracked
+// one retains it, so the sampler keeps both: exemplars at or over the
+// threshold resolve in /debug/traces, and any trace_id on a logged line
+// names a retained trace.
+func (o *serverObs) observed(pattern string, endpoint *slo.Tracker, next http.HandlerFunc) http.Handler {
+	label := pattern
+	if label == "" {
+		label = "proxy"
+	}
+	metrics := o.httpm.Endpoint(label)
+	var slowAt time.Duration // 0: no request on this route counts as slow
+	if endpoint != nil {
+		slowAt = o.slo.LatencyThreshold()
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if tracer == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		name := pattern
-		if name == "" {
-			name = r.Method + " " + r.URL.Path
-		}
-		var ctx context.Context
 		var sp *trace.Span
-		if rp, ok := trace.Extract(r.Header); ok {
-			ctx, sp = tracer.RootRemote(r.Context(), name, rp)
-		} else {
-			ctx, sp = tracer.Root(r.Context(), name)
+		if tracer != nil {
+			r, sp = startRoot(r, pattern)
 		}
-		if sp == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		sw := &traceStatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		status := sw.status
+		ow := &observeWriter{ResponseWriter: w}
+		metrics.Begin()
+		start := time.Now()
+		next(ow, r)
+		d := time.Since(start)
+		status := ow.status
 		if status == 0 {
 			status = http.StatusOK
 		}
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		sp.SetInt("status", int64(status))
-		if status >= 400 {
-			sp.Fail(fmt.Errorf("HTTP %d", status))
+		metrics.Done(d, status, sp.TraceID())
+		endpoint.Observe(d, status >= 500)
+		ow.entry.Observe(d, status >= 500)
+		slow := slowAt > 0 && d >= slowAt
+		if sp != nil {
+			sp.SetAttr("method", r.Method)
+			sp.SetAttr("path", r.URL.Path)
+			sp.SetInt("status", int64(status))
+			if status >= 400 {
+				sp.Fail(fmt.Errorf("HTTP %d", status))
+			}
+			if slow {
+				sp.Retain()
+			}
+			sp.End()
 		}
-		sp.End()
 		lvl := slog.LevelInfo
 		switch {
 		case status >= 500:
 			lvl = slog.LevelError
 		case status >= 400:
 			lvl = slog.LevelWarn
+		case !slow:
+			return
 		}
-		logger.LogAttrs(ctx, lvl, "request",
+		logger.LogAttrs(r.Context(), lvl, "request",
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", status))
 	})
+}
+
+// startRoot starts the request's root span on the package tracer and
+// returns the request carrying it.
+func startRoot(r *http.Request, pattern string) (*http.Request, *trace.Span) {
+	name := pattern
+	if name == "" {
+		name = r.Method + " " + r.URL.Path
+	}
+	var ctx context.Context
+	var sp *trace.Span
+	if rp, ok := trace.Extract(r.Header); ok {
+		ctx, sp = tracer.RootRemote(r.Context(), name, rp)
+	} else {
+		ctx, sp = tracer.Root(r.Context(), name)
+	}
+	return r.WithContext(ctx), sp
 }
 
 // mountCommon adds the routes both server modes share: the Prometheus/
@@ -281,9 +281,11 @@ func (o *serverObs) mountCommon(mux *http.ServeMux) {
 	mux.Handle("GET /debug/traces/{id}", traceHandler())
 	o.wrap(mux, "GET /v1/status", o.handleStatus)
 	o.wrap(mux, "GET /v1/slo", o.drainGuard(o.handleSLO))
-	o.wrapUntracked(mux, "GET /v1/healthz", o.handleHealthz)
-	o.wrapUntracked(mux, "GET /v1/readyz", o.handleReadyz)
-	o.wrapUntracked(mux, "GET /v1/repl/role", o.handleRole)
+	// Probes answer 503 by design (drain, warm-up) and must not burn
+	// the availability budget.
+	mux.Handle("GET /v1/healthz", o.observed("GET /v1/healthz", nil, o.handleHealthz))
+	mux.Handle("GET /v1/readyz", o.observed("GET /v1/readyz", nil, o.handleReadyz))
+	mux.Handle("GET /v1/repl/role", o.observed("GET /v1/repl/role", nil, o.handleRole))
 }
 
 // handleRole is the cluster role probe routers and operators poll: the

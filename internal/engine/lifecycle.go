@@ -39,15 +39,6 @@ var ErrTransferCapExceeded = drmerr.Sentinel(drmerr.KindViolation,
 // compaction, and applies only where the cache is consulted (ModeOnline).
 func (d *Distributor) SetTransferCap(cap int64) { d.transferCap.Store(cap) }
 
-// TransferCap returns the configured cumulative transfer cap.
-func (d *Distributor) TransferCap() int64 { return d.transferCap.Load() }
-
-// Revoke takes count permissions for rect's belongs-to set back out of
-// circulation. It is RevokeContext with a background context.
-func (d *Distributor) Revoke(rect geometry.Rect, count int64) (bitset.Mask, error) {
-	return d.RevokeContext(context.Background(), rect, count)
-}
-
 // RevokeContext appends a revoke record for rect's belongs-to set. The
 // store refuses (ErrLedgerUnsound, 409) a revoke that would drive the
 // set's net count negative. In ModeOnline the freed counts are credited
@@ -129,12 +120,6 @@ func (d *Distributor) appendDebitLocked(ctx context.Context, rec logstore.Record
 		return err
 	}
 	return nil
-}
-
-// Transfer re-homes count permissions for rect's belongs-to set to
-// another party. It is TransferContext with a background context.
-func (d *Distributor) Transfer(rect geometry.Rect, count int64) (bitset.Mask, error) {
-	return d.TransferContext(context.Background(), rect, count)
 }
 
 // TransferContext appends a transfer record for rect's belongs-to set.

@@ -106,31 +106,21 @@ func Timeline(c *license.Corpus, axisName string) ([]Step, error) {
 	return steps, nil
 }
 
-// planFor computes the grouping restricted to the active set.
+// planFor computes the grouping restricted to the active set: the mask
+// closure over overlap rows cut down to active licenses, in which each
+// inactive license is a singleton group that is dropped.
 func planFor(adj overlap.MaskAdjacency, active bitset.Mask) Step {
 	step := Step{Active: active}
-	var assigned bitset.Mask
+	sub := make(overlap.MaskAdjacency, len(adj))
 	active.ForEach(func(i int) bool {
-		if assigned.Has(i) {
-			return true
-		}
-		members := bitset.MaskOf(i)
-		frontier := bitset.MaskOf(i)
-		for !frontier.Empty() {
-			var next bitset.Mask
-			frontier.ForEach(func(v int) bool {
-				next = next.Union(adj[v].Intersect(active))
-				return true
-			})
-			frontier = next.Diff(members)
-			members = members.Union(next)
-		}
-		assigned = assigned.Union(members)
-		step.Groups = append(step.Groups, members)
+		sub[i] = adj[i].Intersect(active)
 		return true
 	})
-	for _, g := range step.Groups {
-		step.Equations += int64(1)<<uint(g.Len()) - 1
+	for _, g := range overlap.GroupsMask(sub).Groups {
+		if g.Members.SubsetOf(active) {
+			step.Groups = append(step.Groups, g.Members)
+			step.Equations += int64(1)<<uint(g.Size) - 1
+		}
 	}
 	if step.Equations > 0 {
 		step.Gain = core.FullEquationCount(active.Len()) / float64(step.Equations)

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"context"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -36,23 +34,17 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// HTTPMetrics instruments HTTP handlers with the server's standard
-// signals: per-endpoint request counts bucketed by status class, a
-// per-endpoint latency histogram, and a server-wide in-flight gauge.
+// HTTPMetrics holds the server's standard HTTP signals: per-endpoint
+// request counts bucketed by status class, a per-endpoint latency
+// histogram, and a server-wide in-flight gauge. drmserver's request
+// middleware records into them through per-endpoint handles.
 type HTTPMetrics struct {
 	requests *CounterVec
 	latency  *HistogramVec
 	inflight *Gauge
 
-	// ExemplarID extracts the active trace ID from a request context
-	// (trace.IDFromContext in the server). When set, latency
-	// observations on traced requests carry the trace as a bucket
-	// exemplar; untraced requests ("" return) record plain. Set it at
-	// wiring time, before handlers run.
-	ExemplarID func(ctx context.Context) string
-
-	mu      sync.Mutex
-	wrapped map[string]*Histogram
+	mu        sync.Mutex
+	endpoints map[string]*Histogram
 }
 
 // NewHTTPMetrics registers the HTTP metric families on reg.
@@ -65,7 +57,7 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 			"HTTP request latency by endpoint.", nil, "endpoint"),
 		inflight: reg.Gauge("drm_http_inflight",
 			"HTTP requests currently being served."),
-		wrapped: make(map[string]*Histogram),
+		endpoints: make(map[string]*Histogram),
 	}
 }
 
@@ -73,71 +65,55 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 // index is status/100 - 1.
 var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
-// Wrap instruments next under the given endpoint label. Handles are
-// resolved once per endpoint at wiring time, so the per-request cost is
-// one gauge inc/dec, one histogram observation, and one counter inc —
-// no map lookups. A nil receiver returns next unchanged.
-func (m *HTTPMetrics) Wrap(endpoint string, next http.Handler) http.Handler {
-	if m == nil {
-		return next
-	}
-	var classes [5]*Counter
-	for i, c := range statusClasses {
-		classes[i] = m.requests.With(endpoint, c)
-	}
-	latency := m.latency.With(endpoint)
-	m.mu.Lock()
-	m.wrapped[endpoint] = latency
-	m.mu.Unlock()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m.inflight.Inc()
-		defer m.inflight.Dec()
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		id := ""
-		if m.ExemplarID != nil {
-			id = m.ExemplarID(r.Context())
-		}
-		latency.ObserveExemplar(time.Since(start).Seconds(), id)
-		if i := sw.status/100 - 1; i >= 0 && i < len(classes) {
-			classes[i].Inc()
-		}
-	})
+// HTTPEndpoint is one endpoint's metric handles. They are resolved once
+// at wiring time, so recording a request costs one gauge inc/dec, one
+// histogram observation and one counter inc, with no map lookups.
+type HTTPEndpoint struct {
+	classes  [5]*Counter
+	latency  *Histogram
+	inflight *Gauge
 }
 
-// Exemplars returns the retained latency exemplars of every wrapped
-// endpoint, ordered by endpoint name — the metric→trace links
-// /v1/status surfaces. Nil-safe.
+// Endpoint resolves the handles for one endpoint label and lists its
+// latency histogram in Exemplars.
+func (m *HTTPMetrics) Endpoint(name string) *HTTPEndpoint {
+	e := &HTTPEndpoint{latency: m.latency.With(name), inflight: m.inflight}
+	for i, c := range statusClasses {
+		e.classes[i] = m.requests.With(name, c)
+	}
+	m.mu.Lock()
+	m.endpoints[name] = e.latency
+	m.mu.Unlock()
+	return e
+}
+
+// Begin counts a request in flight.
+func (e *HTTPEndpoint) Begin() { e.inflight.Inc() }
+
+// Done records a finished request: it leaves the in-flight gauge, its
+// latency lands in the histogram with traceID as the bucket's exemplar
+// ("" records it plain), and its status class is counted.
+func (e *HTTPEndpoint) Done(d time.Duration, status int, traceID string) {
+	e.inflight.Dec()
+	e.latency.ObserveExemplar(d.Seconds(), traceID)
+	if i := status/100 - 1; i >= 0 && i < len(e.classes) {
+		e.classes[i].Inc()
+	}
+}
+
+// Exemplars returns the retained latency exemplars of every endpoint —
+// the metric→trace links /v1/status surfaces. Nil-safe.
 func (m *HTTPMetrics) Exemplars() map[string][]Exemplar {
 	if m == nil {
 		return nil
 	}
 	m.mu.Lock()
-	endpoints := make([]string, 0, len(m.wrapped))
-	hists := make(map[string]*Histogram, len(m.wrapped))
-	for e, h := range m.wrapped {
-		endpoints = append(endpoints, e)
-		hists[e] = h
-	}
-	m.mu.Unlock()
-	sort.Strings(endpoints)
-	out := make(map[string][]Exemplar, len(endpoints))
-	for _, e := range endpoints {
-		if ex := hists[e].Exemplars(); len(ex) > 0 {
+	defer m.mu.Unlock()
+	out := make(map[string][]Exemplar)
+	for e, h := range m.endpoints {
+		if ex := h.Exemplars(); len(ex) > 0 {
 			out[e] = ex
 		}
 	}
 	return out
-}
-
-// statusWriter captures the status code for class bucketing.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
 }

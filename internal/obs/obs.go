@@ -1,6 +1,6 @@
 // Package obs is a zero-dependency observability layer: an atomic metrics
 // registry (counters, gauges, histograms with fixed latency buckets) with
-// Prometheus text-format exposition, HTTP server middleware, and the typed
+// Prometheus text-format exposition, HTTP server metrics, and the typed
 // AuditStats record the validator emits per run.
 //
 // The design goal is that instrumentation can be wired through the hot
