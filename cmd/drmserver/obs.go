@@ -173,30 +173,23 @@ func observeEntry(w http.ResponseWriter, t *slo.Tracker) {
 	}
 }
 
-// observed is the one request middleware. It times the request once and
-// captures its status once, then feeds that (duration, status) to:
+// observed is the one request middleware. It times the request and
+// captures its status once, then feeds that (duration, status) to the
+// root span, the endpoint's HTTP metrics (with the trace ID as the
+// latency exemplar), the endpoint SLO window (nil for routes that must
+// not burn the budget: probes, replication, the router's proxy), the
+// entry window the route's resolver set (observeEntry), and, only for a
+// failed request or a slow one on a tracked route, the request log
+// line. A failed root is marked failed and a slow tracked one retained,
+// so the sampler keeps both and any trace_id on a logged line names a
+// retained trace.
 //
-//   - the root span, so every layer below (engine, core, vtree,
-//     logstore, wal) hangs its spans off this request's trace;
-//   - the endpoint's request counter, latency histogram (with the trace
-//     ID as exemplar) and the in-flight gauge;
-//   - the endpoint SLO window, nil for probes, replication and the
-//     router's proxy, which must not burn the budget;
-//   - the entry window the route's resolver set (observeEntry);
-//   - the request log line, written only for a failed request (≥ 400,
-//     at WARN or ERROR) or one at or over the latency threshold on a
-//     tracked route (at INFO).
-//
-// An incoming traceparent header (a request forwarded by the router, or
-// a follower's replication fetch) is continued: the root adopts the
-// upstream trace ID, which is what lets /v1/cluster/traces/{id} merge
-// the per-process fragments. An empty pattern (the router's catch-all
-// proxy) names the root "METHOD /path" per request, so router roots
-// line up with the leader roots they forward to, and labels the metrics
-// "proxy". A failed request marks its root failed and a slow tracked
-// one retains it, so the sampler keeps both: exemplars at or over the
-// threshold resolve in /debug/traces, and any trace_id on a logged line
-// names a retained trace.
+// An incoming traceparent header (a router forward, a follower's
+// replication fetch) is continued, which lets /v1/cluster/traces/{id}
+// merge the per-process fragments. An empty pattern (the router's
+// catch-all proxy) names the root "METHOD /path" per request, so router
+// roots line up with the leader roots they forward to, and labels the
+// metrics "proxy".
 func (o *serverObs) observed(pattern string, endpoint *slo.Tracker, next http.HandlerFunc) http.Handler {
 	label := pattern
 	if label == "" {

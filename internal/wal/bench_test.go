@@ -61,8 +61,9 @@ func mixedBenchRecords(n int) []logstore.Record {
 // frame bytes replayed as MB/s, the wall-clock cost per replayed frame
 // as ns/frame, and the process CPU time (user plus system, from
 // getrusage around each Open) per replayed frame as cpu-ns/frame, which
-// a busy shared host disturbs less than wall time. The acceptance bar is SnapshotTail ≥10× faster than
-// FullReplay; EXPERIMENTS.md records the measured times.
+// leaves out time spent waiting for a CPU. The acceptance bar is
+// SnapshotTail ≥10× faster than FullReplay; EXPERIMENTS.md records the
+// measured times.
 func BenchmarkRecovery(b *testing.B) {
 	n := 1_000_000
 	if testing.Short() {
