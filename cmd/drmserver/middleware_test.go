@@ -22,18 +22,6 @@ func windowRequests(o *serverObs, scope, name string) float64 {
 	return o.reg.FloatGaugeVec("drm_slo_window_requests", "", "scope", "name").With(scope, name).Value()
 }
 
-// get requests url and discards the body.
-func get(t *testing.T, url string) int {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
 // TestMiddlewareOneObservationPerRequest pins the middleware contract:
 // one request to a tracked entry route adds exactly one observation to
 // each of its status-class counter, latency histogram, endpoint window,
@@ -89,7 +77,7 @@ func TestMiddlewareEntryWindowEveryRoute(t *testing.T) {
 	srv, ex := testServer(t, engine.ModeOnline)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
-	if code := get(t, ts.URL+"/v1/stats"); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/stats", nil); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
 	}
 	if code := postJSON(t, ts.URL+"/v1/issue", issueRequest{Values: usageValues(ex), Count: 1}, nil); code != http.StatusOK {
@@ -109,7 +97,7 @@ func TestMiddlewareUntrackedFeedsNoWindow(t *testing.T) {
 	leader := httptest.NewServer(srv.routes())
 	t.Cleanup(leader.Close)
 	for _, path := range []string{"/v1/healthz", "/v1/readyz", "/v1/repl/role", "/v1/repl/wal", "/v1/repl/snapshot"} {
-		get(t, leader.URL+path)
+		getJSON(t, leader.URL+path, nil)
 	}
 	noWindows := func(who string, o *serverObs) {
 		t.Helper()
@@ -137,7 +125,7 @@ func TestMiddlewareUntrackedFeedsNoWindow(t *testing.T) {
 	ro := newServerObs(func() error { return nil })
 	router := httptest.NewServer(routerRoutes(ro, rt))
 	t.Cleanup(router.Close)
-	if code := get(t, router.URL+"/v1/stats"); code != http.StatusOK {
+	if code := getJSON(t, router.URL+"/v1/stats", nil); code != http.StatusOK {
 		t.Fatalf("proxied stats status = %d", code)
 	}
 	noWindows("router", ro)
